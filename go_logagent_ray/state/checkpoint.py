@@ -11,21 +11,29 @@ Design (SURVEY.md §4.3):
 - A **partition** is a deterministic group of parquet fragments
   ``(file, row-group range)`` — a pure function of the sorted input file
   list and ``rows_per_partition``, independent of Ray scheduling order.
-- Each partition is processed as its own bounded Dataset wave:
-  read fragments → filter chain → write sinks under
-  ``out/<sink>/part-<pid>/`` — written to a ``.tmp-<pid>`` staging dir
-  first, then atomically renamed, then the manifest
-  ``out/_manifest/part-<pid>.json`` (lineage + per-sink row counts +
-  config hash) is written via tmp+rename. A partition is committed iff
-  its manifest exists and its config hash matches.
+- Each partition is its own Dataset wave: read fragments → filter chain
+  → a staged write to ``out/.tmp-part-<pid>/route=<sink>/``, whose write
+  tasks report per-sink row counts and the written schema → an atomic
+  rename of each sink to ``out/<sink>/part-<pid>/`` → the manifest
+  ``out/_manifest/part-<pid>.json`` (lineage + per-sink row counts from
+  those reports + config hash), written via tmp+rename. A partition is
+  committed iff its manifest exists and its config hash matches.
+- Waves overlap: at most CPU slots + 1 are in flight (one per slot, plus
+  one being planned or committed), and each commits as soon as it
+  completes, so commits land in completion order, not partition order.
+  After a failure no new wave starts; the in-flight waves finish and
+  commit, then the first error is raised. A kill therefore redoes at most
+  the waves that were in flight.
 - Resume: list manifests, subtract committed partitions, run only the
   remainder; aggregate metrics merge committed manifest counts with the
   new waves. Idempotent: commits are atomic, partitions deterministic.
 
-Scale note: on a multi-node cluster each wave should hold enough
-fragments to saturate the cluster (``rows_per_partition`` ≈ cluster
-throughput × minutes of work); waves bound both checkpoint granularity
-and worst-case recomputation after a kill.
+Scale note: partitions run in parallel across CPU slots, and each wave
+also spreads its fragments over the cluster. On a multi-node cluster a
+wave should still hold enough fragments to keep its share of the cluster
+busy (``rows_per_partition`` ≈ throughput × minutes of work); waves bound
+both checkpoint granularity and the recomputation after a kill (the waves
+in flight).
 """
 
 from __future__ import annotations
@@ -33,11 +41,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
+import uuid
 from collections import Counter
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink
 
 
 @dataclass(frozen=True)
@@ -173,10 +188,8 @@ def run_checkpointed(
     parts = plan_partitions(frags, rows_per_partition)
     done = committed_partitions(out_dir, cfg)
 
-    total_counts: Counter = Counter()
     manifests: list[dict] = []
-
-    ran = skipped = 0
+    todo: list[tuple[int, list[Fragment]]] = []
     for pid, part in enumerate(parts):
         committed = done.get(pid)
         # A committed pid is only valid if its LINEAGE matches the freshly
@@ -184,71 +197,130 @@ def run_checkpointed(
         # reshuffle and a config-hash-only match would silently skip the
         # wrong data. Mismatched manifests are recomputed (atomic replace).
         if committed is not None and committed["fragments"] == [asdict(f) for f in part]:
-            total_counts.update(committed["counts"])
             manifests.append(committed)
-            skipped += 1
             continue
-        if max_partitions is not None and ran >= max_partitions:
+        if max_partitions is not None and len(todo) >= max_partitions:
             break
-        counts, schema_hash = _run_partition(pid, part, out_dir, transform)
-        manifest = {
-            "part_id": pid,
-            "fragments": [asdict(f) for f in part],
-            "counts": counts,
-            "rows_in": sum(f.rows for f in part),
-            "config_hash": cfg,
-            "schema_hash": schema_hash,
-        }
-        _atomic_write_json(
-            os.path.join(_manifest_dir(out_dir), f"part-{pid}.json"), manifest
-        )
-        total_counts.update(counts)
-        manifests.append(manifest)
-        ran += 1
+        todo.append((pid, part))
+    skipped = len(manifests)
 
+    new = _run_waves(todo, out_dir, transform, cfg) if todo else []
+    manifests = sorted(manifests + new, key=lambda m: m["part_id"])
+    total_counts: Counter = Counter()
+    for m in manifests:
+        total_counts.update(m["counts"])
     return {
-        "committed": ran,
+        "committed": len(new),
         "skipped": skipped,
-        "remaining": len(parts) - skipped - ran,
+        "remaining": len(parts) - skipped - len(new),
         "total_counts": total_counts,
         "manifests": manifests,
     }
 
 
-def _run_partition(pid: int, part: list, out_dir: str, transform):
-    """One wave: read fragments → transform → staged write → atomic rename.
+def _run_waves(todo, out_dir: str, transform, cfg: str) -> list[dict]:
+    """Run the to-do partitions, at most CPU slots + 1 waves in flight.
 
-    Returns (per-sink row counts, output schema hash)."""
-    import shutil
+    ``transform`` is called here, in partition order, as a slot frees up;
+    each wave then writes and commits on a pool thread. After a failure no
+    new wave starts, the in-flight ones finish and commit, and the first
+    error is re-raised. Returns the new manifests in completion order."""
+    slots = int(ray.cluster_resources()["CPU"]) + 1
+    manifests: list[dict] = []
+    errors: list[BaseException] = []
 
+    def reap(finished):
+        for fut in finished:
+            if fut.exception() is None:
+                manifests.append(fut.result())
+            else:
+                errors.append(fut.exception())
+
+    with ThreadPoolExecutor(slots) as pool:
+        running: set = set()
+        for pid, part in todo:
+            if len(running) >= slots:
+                finished, running = wait(running, return_when=FIRST_COMPLETED)
+                reap(finished)
+            if errors:
+                break
+            routed = transform(fragments_dataset(part))
+            running.add(pool.submit(_run_wave, pid, part, routed, out_dir, cfg))
+        reap(wait(running).done)
+    if errors:
+        raise errors[0]
+    return manifests
+
+
+def _run_wave(pid: int, part: list, routed, out_dir: str, cfg: str) -> dict:
+    """One wave: staged write → atomic rename per sink → manifest."""
     staging = os.path.join(out_dir, f".tmp-part-{pid}")
     if os.path.isdir(staging):
         shutil.rmtree(staging)  # leftover from a killed run — safe to redo
-    ds = fragments_dataset(part)
-    routed = transform(ds)
-    routed.write_parquet(staging, partition_cols=["route"])
+    sink = _StagedRouteSink(staging)
+    routed.write_datasink(sink)
 
+    counts: Counter = Counter()
     schema_hash = ""
-    counts: dict[str, int] = {}
-    for name in sorted(os.listdir(staging)):
-        if not name.startswith("route="):
-            continue
-        sink = name.split("=", 1)[1]
-        src = os.path.join(staging, name)
-        rows = 0
-        for f in os.listdir(src):
-            if not f.endswith(".parquet"):
-                continue
-            pf = pq.ParquetFile(os.path.join(src, f))
-            rows += pf.metadata.num_rows
-            if not schema_hash:
-                schema_hash = hashlib.sha256(
-                    pf.schema_arrow.to_string().encode()).hexdigest()[:16]
-        dst = os.path.join(out_dir, sink, f"part-{pid}")
+    for task_counts, schema in sink.results:
+        counts.update(task_counts)
+        if schema is not None and not schema_hash:
+            schema_hash = hashlib.sha256(
+                schema.to_string().encode()).hexdigest()[:16]
+    # An uncommitted or lineage-mismatched earlier run may have left
+    # part-<pid> under any sink, including one this wave does not write.
+    for name in os.listdir(out_dir):
+        old = os.path.join(out_dir, name, f"part-{pid}")
+        if not name.startswith(("_", ".")) and os.path.isdir(old):
+            shutil.rmtree(old)
+    for name in counts:
+        dst = os.path.join(out_dir, name, f"part-{pid}")
         os.makedirs(os.path.dirname(dst), exist_ok=True)
-        if os.path.isdir(dst):
-            shutil.rmtree(dst)  # uncommitted partial from a killed run
-        os.replace(src, dst)
-        counts[sink] = rows
+        os.replace(os.path.join(staging, f"route={name}"), dst)
     shutil.rmtree(staging, ignore_errors=True)
-    return counts, schema_hash
+
+    manifest = {
+        "part_id": pid,
+        "fragments": [asdict(f) for f in part],
+        "counts": dict(counts),
+        "rows_in": sum(f.rows for f in part),
+        "config_hash": cfg,
+        "schema_hash": schema_hash,
+    }
+    _atomic_write_json(
+        os.path.join(_manifest_dir(out_dir), f"part-{pid}.json"), manifest
+    )
+    return manifest
+
+
+class _StagedRouteSink(Datasink):
+    """Writes each task's rows as ``<staging>/route=<sink>/<unique>.parquet``
+    without the ``route`` column. A task reports (per-sink row counts,
+    written Arrow schema); the driver finds them in ``results``."""
+
+    def __init__(self, staging: str):
+        self.staging = staging
+        self.results: list = []
+
+    def write(self, blocks, ctx):
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        if not sum(t.num_rows for t in tables):
+            return {}, None
+        table = pa.concat_tables(tables, promote_options="permissive")
+        routes = table["route"]
+        if routes.null_count:
+            raise ValueError("transform output has rows without a route")
+        data = table.drop_columns(["route"])
+        name = f"{uuid.uuid4().hex}.parquet"
+        counts = {}
+        for sink in pc.unique(routes).to_pylist():
+            rows = data.filter(pc.equal(routes, sink))
+            sink_dir = os.path.join(self.staging, f"route={sink}")
+            os.makedirs(sink_dir, exist_ok=True)
+            pq.write_table(rows, os.path.join(sink_dir, name))
+            counts[sink] = rows.num_rows
+        # the file's schema, not data.schema: parquet renames list items
+        return counts, pq.read_schema(os.path.join(sink_dir, name))
+
+    def on_write_complete(self, write_result):
+        self.results = write_result.write_returns

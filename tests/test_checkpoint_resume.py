@@ -114,6 +114,161 @@ def test_changed_input_set_invalidates_stale_partitions(
     assert r2["remaining"] == 0
 
 
+def _drop_all_rows(ds):
+    from go_logagent_ray.pipelines.transcript import parse_enrich_route
+
+    return parse_enrich_route(ds, batch_size=128).map_batches(
+        lambda b: b.slice(0, 0), batch_format="pyarrow")
+
+
+def test_empty_wave_commits_empty_manifest(ray_session, transcripts_parquet, tmp_path):
+    """A partition whose transform output has no rows still commits, with
+    empty counts, and a rerun skips it."""
+    out = str(tmp_path / "ck_empty")
+    r1 = run_checkpointed([transcripts_parquet], out, _drop_all_rows, SPEC,
+                          rows_per_partition=10_000)
+    assert r1["committed"] == 1 and r1["remaining"] == 0
+    assert [m["counts"] for m in r1["manifests"]] == [{}]
+    assert not r1["total_counts"]
+    assert not glob.glob(os.path.join(out, ".tmp-*"))
+    r2 = run_checkpointed([transcripts_parquet], out, _drop_all_rows, SPEC,
+                          rows_per_partition=10_000)
+    assert r2["skipped"] == 1 and r2["committed"] == 0
+
+
+def _file_rows(out: str) -> dict[tuple[str, int], int]:
+    """(sink, part id) -> rows in ``<sink>/part-<pid>/*.parquet``."""
+    rows: dict[tuple[str, int], int] = {}
+    for f in glob.glob(os.path.join(out, "*", "part-*", "*.parquet")):
+        part_dir = os.path.dirname(f)
+        key = (os.path.basename(os.path.dirname(part_dir)),
+               int(os.path.basename(part_dir)[len("part-"):]))
+        rows[key] = rows.get(key, 0) + pq.ParquetFile(f).metadata.num_rows
+    return rows
+
+
+def _assert_manifests_match_files(out: str) -> dict[int, dict]:
+    manifests = committed_partitions(out, config_hash(SPEC))
+    want = {(sink, pid): n for pid, m in manifests.items()
+            for sink, n in m["counts"].items()}
+    assert _file_rows(out) == want
+    return manifests
+
+
+def test_manifests_match_sink_files(ray_session, transcripts_parquet, tmp_path):
+    """Manifest counts and schema hash describe the committed files."""
+    import hashlib
+
+    out = str(tmp_path / "ck_files")
+    r = run_checkpointed([transcripts_parquet], out, _transform, SPEC,
+                         rows_per_partition=128, rgs_per_fragment=1)
+    manifests = _assert_manifests_match_files(out)
+    assert len(manifests) == r["committed"] > 1
+    for pid, m in manifests.items():
+        files = glob.glob(os.path.join(out, "*", f"part-{pid}", "*.parquet"))
+        assert files
+        for f in files:
+            schema = pq.read_schema(f)
+            assert "route" not in schema.names
+            assert m["schema_hash"] == hashlib.sha256(
+                schema.to_string().encode()).hexdigest()[:16]
+
+
+def test_failure_mid_call_commits_earlier_partitions(
+        ray_session, transcripts_parquet, tmp_path, oracle_result):
+    """The transform fails on the batch holding partition k's first row:
+    the call raises, partitions before k are committed and k is not, and a
+    resume skips the committed ones and ends equal to the oracle."""
+    import pyarrow.compute as pc
+
+    k = 2
+    parts = plan_partitions(list_fragments([transcripts_parquet], 1), 128)
+    assert len(parts) > k
+    first = parts[k][0]
+    row = pq.ParquetFile(first.file).read_row_group(first.rg_start).slice(0, 1)
+    conv_id, turn_idx = row["conv_id"][0].as_py(), row["turn_idx"][0].as_py()
+
+    def fail_on_k(batch):
+        hit = pc.and_(pc.equal(batch["conv_id"], conv_id),
+                      pc.equal(batch["turn_idx"], turn_idx))
+        if pc.any(hit).as_py():
+            raise RuntimeError("injected failure")
+        return batch
+
+    def failing(ds):
+        return _transform(ds).map_batches(fail_on_k, batch_format="pyarrow")
+
+    out = str(tmp_path / "ck_fail")
+    with pytest.raises(Exception, match="injected failure"):
+        run_checkpointed([transcripts_parquet], out, failing, SPEC,
+                         rows_per_partition=128, rgs_per_fragment=1)
+    manifests = _assert_manifests_match_files(out)
+    assert set(range(k)) <= set(manifests) and k not in manifests
+    mtimes = {p: os.path.getmtime(p)
+              for p in glob.glob(os.path.join(out, "_manifest", "*.json"))}
+
+    r = run_checkpointed([transcripts_parquet], out, _transform, SPEC,
+                         rows_per_partition=128, rgs_per_fragment=1)
+    assert r["skipped"] == len(manifests) and r["remaining"] == 0
+    for p, t in mtimes.items():
+        assert os.path.getmtime(p) == t
+    _assert_manifests_match_files(out)
+    expected = {s: len(rows) for s, rows in oracle_result["sinks"].items() if rows}
+    assert dict(r["total_counts"]) == expected
+    got: dict[str, int] = {}
+    for (sink, _pid), n in _file_rows(out).items():
+        got[sink] = got.get(sink, 0) + n
+    assert got == expected
+
+
+def test_waves_in_flight_bounded(ray_session, transcripts_parquet, tmp_path,
+                                 monkeypatch):
+    """At most CPU slots + 1 waves run at once, ``transform`` is called in
+    partition order, and after a failure no new wave starts."""
+    import threading
+    import time
+
+    from go_logagent_ray.state import checkpoint
+
+    slots = int(ray_session.cluster_resources()["CPU"]) + 1
+    lock = threading.Lock()
+    active, peak, ran = [0], [0], []
+
+    def fake_wave(pid, part, routed, out_dir, cfg):
+        with lock:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+        time.sleep(0.3)
+        with lock:
+            active[0] -= 1
+            ran.append(pid)
+        if pid == fail_pid:
+            raise RuntimeError("wave failed")
+        return {"part_id": pid, "counts": {}}
+
+    called = []
+
+    def transform(ds):
+        called.append(len(called))
+        return ds
+
+    monkeypatch.setattr(checkpoint, "_run_wave", fake_wave)
+    n_parts = len(plan_partitions(list_fragments([transcripts_parquet], 1), 32))
+    assert n_parts > 2 * slots
+
+    fail_pid = None
+    r = run_checkpointed([transcripts_parquet], str(tmp_path / "a"), transform,
+                         SPEC, rows_per_partition=32, rgs_per_fragment=1)
+    assert r["committed"] == n_parts and peak[0] == slots
+    assert called == list(range(n_parts))
+
+    fail_pid, ran[:] = 0, []
+    with pytest.raises(RuntimeError, match="wave failed"):
+        run_checkpointed([transcripts_parquet], str(tmp_path / "b"), transform,
+                         SPEC, rows_per_partition=32, rgs_per_fragment=1)
+    assert sorted(ran) == list(range(slots))
+
+
 def test_list_fragments_expands_directories(transcripts_parquet, tmp_path):
     """Regression (ADVICE r1): CLI --input DIR advertised but a directory
     crashed ParquetFile; directories now expand to contained parquet."""
