@@ -71,6 +71,44 @@ def sharded_cogroup(left, right, left_cols: list[str],
     return both.groupby("_shard").map_groups(run, batch_format="pyarrow")
 
 
+def sharded_inner_join(left, right, left_key: str, right_key: str,
+                       left_types: dict[str, "pa.DataType"],
+                       right_types: dict[str, "pa.DataType"],
+                       n_shards: int):
+    """SQL inner equi-join of two Datasets on int64 keys, built on
+    ``sharded_cogroup`` (a sort-shuffle groupby) rather than
+    ``Dataset.join``, whose hash-shuffle aggregator actors outlive
+    their Dataset and leave a later join in the session unschedulable.
+    ``left_types``/``right_types`` name the non-key columns each side
+    keeps; the two sets must not overlap. Rows with a null key are
+    dropped first, as an inner join drops them. The output carries the
+    left key (under ``left_key``) and every kept column of both sides."""
+    import pyarrow.compute as pc
+
+    k = "_k"
+
+    def keyed(key: str, cols: list[str]):
+        def f(batch: pa.Table) -> pa.Table:
+            batch = batch.filter(pc.is_valid(batch[key]))
+            return pa.table({k: pc.cast(batch[key], pa.int64()),
+                             **{c: batch[c] for c in cols}})
+        return f
+
+    lcols, rcols = list(left_types), list(right_types)
+    types = {k: pa.int64(), **left_types, **right_types,
+             "_shard": pa.int32()}
+
+    def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        out = lt.join(rt, k, join_type="inner")
+        return pa.table({left_key: out[k],
+                         **{c: out[c] for c in lcols + rcols}})
+
+    return sharded_cogroup(
+        left.map_batches(keyed(left_key, lcols), batch_format="pyarrow"),
+        right.map_batches(keyed(right_key, rcols), batch_format="pyarrow"),
+        [k] + lcols, [k] + rcols, k, types, n_shards, join)
+
+
 def split_sides(group: pa.Table) -> tuple[pa.Table, pa.Table]:
     """Split a co-grouped table back into (left, right) by ``_side`` —
     call BEFORE selecting columns / converting to pandas."""

@@ -859,14 +859,16 @@ FROM events GROUP BY event_type
 
 
 def q_hash_join(sf_dir: str):
-    """J2: large⋈large hash join (Dataset.join, hash-partitioned on the
-    key) — orders ⋈ lineitem, revenue-weighted line counts per priority.
-    The broadcast path (q_broadcast_join) remains the default for small
-    dimension tables; this exercises the shuffle join."""
+    """J2: large⋈large shuffle join (hash-sharded on the key, co-grouped
+    by ``sharded_inner_join``) — orders ⋈ lineitem, line counts per
+    priority. The broadcast path (q_broadcast_join) remains the default
+    for small dimension tables; this exercises the shuffle join."""
+    from ..functions.cogroup import sharded_inner_join
+
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-    joined = lines.join(orders, join_type="inner", num_partitions=16,
-                        on=("l_orderkey",), right_on=("o_orderkey",))
+    lines = _read(sf_dir, "lineitem", ["l_orderkey"])
+    joined = sharded_inner_join(lines, orders, "l_orderkey", "o_orderkey",
+                                {}, {"o_orderpriority": pa.string()}, 16)
     return counts_by(joined, ["o_orderpriority"], alias="n")
 
 
@@ -2650,7 +2652,8 @@ GROUP BY term, doc_id // 1000
 
 
 def q_bloom_join(sf_dir: str):
-    """Large⋈large hash join with BLOOM-PREFILTERED probe side
+    """Large⋈large shuffle join (``sharded_inner_join``) with a
+    BLOOM-PREFILTERED probe side
     (`stages/bloom.py`): one pass over the filtered orders builds a
     1 MiB mergeable bit array, broadcast once; lineitem rows whose
     orderkey is definitely absent drop BEFORE the shuffle, and bloom
@@ -2660,6 +2663,7 @@ def q_bloom_join(sf_dir: str):
     join."""
     import ray as _ray
 
+    from ..functions.cogroup import sharded_inner_join
     from ..stages.bloom import bloom_prefilter, build_bloom
 
     orders = _read(sf_dir, "orders",
@@ -2675,9 +2679,9 @@ def q_bloom_join(sf_dir: str):
     bloom = build_bloom(orders, "o_orderkey")
     ref = _ray.put(bloom)
     pruned = bloom_prefilter(lines, "l_orderkey", ref)
-    joined = pruned.join(orders.select_columns(
-        ["o_orderkey", "o_orderpriority"]), join_type="inner",
-        num_partitions=16, on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = sharded_inner_join(
+        pruned, orders, "l_orderkey", "o_orderkey",
+        {"l_quantity": pa.float64()}, {"o_orderpriority": pa.string()}, 16)
 
     def to_parts(batch: pa.Table) -> pa.Table:
         qty = pc.cast(as_combined(batch["l_quantity"]), pa.int64())

@@ -19,9 +19,9 @@ list:
 
 Alternating the two converges in O(log n) rounds to a forest of stars,
 each centered at its component's minimum node id.  Per round the work
-is: one ``groupby(u).min(v)`` (combiner-friendly aggregate — partial
-min per block, tiny shuffle), one hash join of the (node → m) table
-back onto the edges, and one distinct.  Everything that shuffles is the
+is: one sort-shuffle groupby of the directed edges on a hash shard of
+u (each shard computes m per node and emits in-task, so no join and no
+hash-shuffle actors), and one distinct.  Everything that shuffles is the
 edge list itself (compact int64 pairs); row width never grows.
 
 Scale notes:
@@ -31,10 +31,8 @@ Scale notes:
   lazy lineage re-executes every prior round); we materialize the EDGE
   set only — bounded by the candidate-pair count, never the corpus.
 - A "hot" star center (one giant duplicate cluster) concentrates its
-  degree in one group for the min-aggregate; that aggregate pre-combines
-  per block, so only per-block partial mins shuffle.  The join fan-out
-  on a hot node is bounded by its degree, which is inherent to the
-  output (those edges must exist somewhere).
+  degree in one shard; its fan-out is bounded by its degree, which is
+  inherent to the output (those edges must exist somewhere).
 - The per-round distinct doubles as canonicalization for convergence
   detection: after distinct, (count, sum of mix64(a,b)) is a canonical
   multiset-free signature, so fixpoint comparison is two scalars.
@@ -60,38 +58,22 @@ def _mix64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _symmetrize(edges: Dataset) -> Dataset:
-    """(a, b) with a < b → directed view (u, v) with both directions."""
+def _symmetrize(edges: Dataset, n_shards: int) -> Dataset:
+    """(a, b) with a < b → directed view (u, v) with both directions,
+    plus the int32 ``_shard`` of u that co-locates each node's rows."""
+    from ..functions.hashing import mix_shard_i64
 
     def both_np(batch: pa.Table) -> pa.Table:
         a = batch.column("a").to_numpy(zero_copy_only=False)
         b = batch.column("b").to_numpy(zero_copy_only=False)
+        u = np.concatenate([a, b])
         return pa.table({
-            "u": np.concatenate([a, b]),
+            "u": u,
             "v": np.concatenate([b, a]),
+            "_shard": mix_shard_i64(u, n_shards),
         })
 
     return edges.map_batches(both_np, batch_format="pyarrow")
-
-
-def _node_mins(sym: Dataset, num_partitions: int) -> Dataset:
-    """(u → m) where m = min(u, min over neighbors of u).
-
-    The trailing ``repartition`` is load-bearing, not cosmetic: on Ray
-    2.49 feeding a groupby-aggregate output straight into the right side
-    of ``Dataset.join`` breaks when upstream lineage contains another
-    join (empty aggregate partitions surface as schema-less blocks →
-    "No match ... FieldRef.Name(u)" in the Acero hash join).  The
-    repartition re-blocks the small (node → m) table and sidesteps it.
-    """
-    mins = sym.groupby("u").aggregate(Min("v", alias_name="m"))
-
-    def clamp(batch: pa.Table) -> pa.Table:
-        m = pc.min_element_wise(batch.column("m"), batch.column("u"))
-        return pa.table({"u": batch.column("u"), "m": m})
-
-    return mins.map_batches(clamp,
-                            batch_format="pyarrow").repartition(num_partitions)
 
 
 def _distinct_edges(edges: Dataset) -> Dataset:
@@ -161,13 +143,17 @@ def _star_round(edges: Dataset, *, large: bool,
     are duplicate-tolerant); callers run ``_distinct_edges`` once per
     large+small double round, not per pass, to save a shuffle.
     """
-    sym = _symmetrize(edges)
-    mins = _node_mins(sym, num_partitions)
-    joined = sym.join(mins, join_type="inner",
-                      num_partitions=num_partitions,
-                      on=("u",), right_on=("u",))
+    sym = _symmetrize(edges, num_partitions)
 
-    def emit(batch: pa.Table) -> pa.Table:
+    def emit(shard: pa.Table) -> pa.Table:
+        # every (u, v) row of a node sits in its u's shard, so the
+        # shard alone holds m = min(u, min over neighbors of u)
+        uv = shard.select(["u", "v"])
+        mins = uv.group_by("u").aggregate([("v", "min")])
+        mins = pa.table({"u": mins["u"],
+                         "m": pc.min_element_wise(mins["v_min"],
+                                                  mins["u"])})
+        batch = uv.join(mins, "u", join_type="inner")
         u = batch.column("u").to_numpy(zero_copy_only=False)
         v = batch.column("v").to_numpy(zero_copy_only=False)
         m = batch.column("m").to_numpy(zero_copy_only=False)
@@ -186,7 +172,7 @@ def _star_round(edges: Dataset, *, large: bool,
         real = a != b
         return pa.table({"a": a[real], "b": b[real]})
 
-    return joined.map_batches(emit, batch_format="pyarrow")
+    return sym.groupby("_shard").map_groups(emit, batch_format="pyarrow")
 
 
 def _streamed_union_find(edges: Dataset) -> "Dataset":
@@ -262,9 +248,8 @@ def connected_components(pairs: Dataset, *, a_col: str = "doc_a",
     Raises RuntimeError if ``max_rounds`` alternating star rounds do not
     converge (should never happen before round ~2·log2(n)).
 
-    ``num_partitions`` defaults to half the cluster CPUs: the hash join
-    spawns that many shuffle-aggregator actors, and asking for more
-    actors than CPUs deadlocks the streaming executor on a small node.
+    ``num_partitions`` is the number of node shards a star round
+    groups the edges into; it defaults to half the cluster CPUs.
     """
     if num_partitions is None:
         import ray
