@@ -249,7 +249,13 @@ def connected_components(pairs: Dataset, *, a_col: str = "doc_a",
     converge (should never happen before round ~2·log2(n)).
 
     ``num_partitions`` is the number of node shards a star round
-    groups the edges into; it defaults to half the cluster CPUs.
+    groups the edges into.  ``map_groups`` hands each shard to one task
+    whole, so a shard holds about 2·edges/``num_partitions`` (u, v)
+    pairs in memory; raise it when the edge list is large next to a
+    worker's memory.  The default, half the cluster CPUs clamped to
+    [2, 64], is untuned: the sort-shuffle groupby starts no actors, so
+    no CPU limit forces it, and no measurement yet prefers it to
+    another count.
     """
     if num_partitions is None:
         import ray

@@ -18,22 +18,26 @@ Design (SURVEY.md §4.3):
   ``out/_manifest/part-<pid>.json`` (lineage + per-sink row counts from
   those reports + config hash), written via tmp+rename. A partition is
   committed iff its manifest exists and its config hash matches.
-- Waves overlap: at most CPU slots + 1 are in flight (one per slot, plus
-  one being planned or committed), and each commits as soon as it
-  completes, so commits land in completion order, not partition order.
-  After a failure no new wave starts; the in-flight waves finish and
-  commit, then the first error is raised. A kill therefore redoes at most
-  the waves that were in flight.
+- Waves overlap: at most two are in flight (one running while the next
+  is planned or committed), and each commits as soon as it completes, so
+  commits land in completion order, not partition order. After a failure
+  no new wave starts; the in-flight waves finish and commit, then the
+  first error is raised. A kill therefore redoes at most two waves,
+  whatever the cluster's size.
 - Resume: list manifests, subtract committed partitions, run only the
   remainder; aggregate metrics merge committed manifest counts with the
   new waves. Idempotent: commits are atomic, partitions deterministic.
 
-Scale note: partitions run in parallel across CPU slots, and each wave
-also spreads its fragments over the cluster. On a multi-node cluster a
-wave should still hold enough fragments to keep its share of the cluster
-busy (``rows_per_partition`` ≈ throughput × minutes of work); waves bound
-both checkpoint granularity and the recomputation after a kill (the waves
-in flight).
+Scale note: each wave spreads its fragments over the whole cluster, and
+the overlap only hides one wave's driver-side work (planning, executor
+start and stop, rename, manifest) behind the other's tasks. It is two,
+not one per CPU slot: each in-flight wave runs its own Ray Data executor
+that budgets CPUs and object-store memory as if it had the cluster to
+itself, and a per-slot bound would also scale the redo after a kill with
+the cluster. On a multi-node cluster a wave should hold enough fragments
+to keep the cluster busy (``rows_per_partition`` ≈ throughput × minutes
+of work); waves bound both checkpoint granularity and the recomputation
+after a kill.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from dataclasses import asdict, dataclass
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 from ray.data.block import BlockAccessor
 from ray.data.datasource import Datasink
 
@@ -218,14 +221,17 @@ def run_checkpointed(
     }
 
 
+# One wave running, one being planned or committed (see the scale note).
+_WAVES_IN_FLIGHT = 2
+
+
 def _run_waves(todo, out_dir: str, transform, cfg: str) -> list[dict]:
-    """Run the to-do partitions, at most CPU slots + 1 waves in flight.
+    """Run the to-do partitions, at most ``_WAVES_IN_FLIGHT`` at once.
 
     ``transform`` is called here, in partition order, as a slot frees up;
     each wave then writes and commits on a pool thread. After a failure no
     new wave starts, the in-flight ones finish and commit, and the first
     error is re-raised. Returns the new manifests in completion order."""
-    slots = int(ray.cluster_resources()["CPU"]) + 1
     manifests: list[dict] = []
     errors: list[BaseException] = []
 
@@ -236,10 +242,10 @@ def _run_waves(todo, out_dir: str, transform, cfg: str) -> list[dict]:
             else:
                 errors.append(fut.exception())
 
-    with ThreadPoolExecutor(slots) as pool:
+    with ThreadPoolExecutor(_WAVES_IN_FLIGHT) as pool:
         running: set = set()
         for pid, part in todo:
-            if len(running) >= slots:
+            if len(running) >= _WAVES_IN_FLIGHT:
                 finished, running = wait(running, return_when=FIRST_COMPLETED)
                 reap(finished)
             if errors:
@@ -269,6 +275,8 @@ def _run_wave(pid: int, part: list, routed, out_dir: str, cfg: str) -> dict:
                 schema.to_string().encode()).hexdigest()[:16]
     # An uncommitted or lineage-mismatched earlier run may have left
     # part-<pid> under any sink, including one this wave does not write.
+    # out_dir belongs to the runner: apart from _manifest and the
+    # .tmp-part-* staging, each directory in it is a sink.
     for name in os.listdir(out_dir):
         old = os.path.join(out_dir, name, f"part-{pid}")
         if not name.startswith(("_", ".")) and os.path.isdir(old):

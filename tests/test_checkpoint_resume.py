@@ -92,24 +92,35 @@ def test_leftover_staging_is_cleaned(ray_session, transcripts_parquet, tmp_path)
     assert not glob.glob(os.path.join(out, ".tmp-*"))
 
 
+def _sorted_copies(src: str, tmp_path) -> tuple[str, str]:
+    """Two copies of ``src`` in one directory; the first sorts first, so
+    adding it to a run of the second shifts every partition id."""
+    import shutil
+
+    d = tmp_path / "inputs"
+    d.mkdir()
+    first, second = str(d / "a.parquet"), str(d / "b.parquet")
+    shutil.copy(src, first)
+    shutil.copy(src, second)
+    return first, second
+
+
 def test_changed_input_set_invalidates_stale_partitions(
         ray_session, transcripts_parquet, tmp_path):
     """Regression: adding an input file reshuffles partition ids; a
     config-hash-only match would skip the WRONG data silently."""
-    import shutil
-
-    extra = str(tmp_path / "a_extra.parquet")  # sorts BEFORE the original
-    shutil.copy(transcripts_parquet, extra)
+    first, second = _sorted_copies(transcripts_parquet, tmp_path)
     out = str(tmp_path / "ck_changed")
 
-    r1 = run_checkpointed([transcripts_parquet], out, _transform, SPEC,
+    r1 = run_checkpointed([second], out, _transform, SPEC,
                           rows_per_partition=128, rgs_per_fragment=1)
     n1 = sum(r1["total_counts"].values())
 
     # resubmit with an additional file: previously committed pids now map
     # to different fragments and must be recomputed, not skipped
-    r2 = run_checkpointed([extra, transcripts_parquet], out, _transform, SPEC,
+    r2 = run_checkpointed([first, second], out, _transform, SPEC,
                           rows_per_partition=128, rgs_per_fragment=1)
+    assert r2["skipped"] == 0
     assert sum(r2["total_counts"].values()) == 2 * n1
     assert r2["remaining"] == 0
 
@@ -223,50 +234,102 @@ def test_failure_mid_call_commits_earlier_partitions(
 
 def test_waves_in_flight_bounded(ray_session, transcripts_parquet, tmp_path,
                                  monkeypatch):
-    """At most CPU slots + 1 waves run at once, ``transform`` is called in
-    partition order, and after a failure no new wave starts."""
+    """At most ``_WAVES_IN_FLIGHT`` waves run at once, ``transform`` is
+    called in partition order, and after a failure no new wave starts
+    while the waves already in flight finish."""
     import threading
-    import time
+    from concurrent.futures import ThreadPoolExecutor, wait
 
     from go_logagent_ray.state import checkpoint
 
-    slots = int(ray_session.cluster_resources()["CPU"]) + 1
+    slots = checkpoint._WAVES_IN_FLIGHT
     lock = threading.Lock()
-    active, peak, ran = [0], [0], []
+    state = {}
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            fut = super().submit(*args, **kwargs)
+            state["futures"].append(fut)
+            return fut
 
     def fake_wave(pid, part, routed, out_dir, cfg):
         with lock:
-            active[0] += 1
-            peak[0] = max(peak[0], active[0])
-        time.sleep(0.3)
+            state["active"] += 1
+            state["peak"] = max(state["peak"], state["active"])
+        if pid < slots:
+            state["barrier"].wait()  # the first waves are in flight together
+        fail_pid = state["fail_pid"]
+        if fail_pid is not None and pid != fail_pid:
+            wait([state["futures"][fail_pid]])  # the failing wave ends first
         with lock:
-            active[0] -= 1
-            ran.append(pid)
+            state["active"] -= 1
+            state["ran"].append(pid)
         if pid == fail_pid:
             raise RuntimeError("wave failed")
         return {"part_id": pid, "counts": {}}
 
-    called = []
-
     def transform(ds):
-        called.append(len(called))
+        state["called"].append(len(state["called"]))
         return ds
 
+    def run(name, fail_pid=None):
+        state.update(active=0, peak=0, ran=[], called=[], futures=[],
+                     fail_pid=fail_pid,
+                     barrier=threading.Barrier(slots, timeout=60))
+        return run_checkpointed([transcripts_parquet], str(tmp_path / name),
+                                transform, SPEC, rows_per_partition=32,
+                                rgs_per_fragment=1)
+
     monkeypatch.setattr(checkpoint, "_run_wave", fake_wave)
+    monkeypatch.setattr(checkpoint, "ThreadPoolExecutor", RecordingPool)
     n_parts = len(plan_partitions(list_fragments([transcripts_parquet], 1), 32))
     assert n_parts > 2 * slots
 
-    fail_pid = None
-    r = run_checkpointed([transcripts_parquet], str(tmp_path / "a"), transform,
-                         SPEC, rows_per_partition=32, rgs_per_fragment=1)
-    assert r["committed"] == n_parts and peak[0] == slots
-    assert called == list(range(n_parts))
+    r = run("a")
+    assert r["committed"] == n_parts and state["peak"] == slots
+    assert state["called"] == list(range(n_parts))
 
-    fail_pid, ran[:] = 0, []
     with pytest.raises(RuntimeError, match="wave failed"):
-        run_checkpointed([transcripts_parquet], str(tmp_path / "b"), transform,
-                         SPEC, rows_per_partition=32, rgs_per_fragment=1)
-    assert sorted(ran) == list(range(slots))
+        run("b", fail_pid=0)
+    assert sorted(state["ran"]) == list(range(slots))
+    assert state["called"] == list(range(slots))
+
+
+def _route_some_extra(ds):
+    """``_transform`` with every first turn routed to an ``extra`` sink."""
+    import pyarrow.compute as pc
+
+    def reroute(batch):
+        route = pc.if_else(pc.equal(batch["turn_idx"], 0), "extra",
+                           batch["route"])
+        return batch.set_column(batch.schema.get_field_index("route"),
+                                "route", route)
+
+    return _transform(ds).map_batches(reroute, batch_format="pyarrow")
+
+
+def test_recomputed_partition_drops_sink_it_no_longer_writes(
+        ray_session, transcripts_parquet, tmp_path):
+    """A partition recomputed for a lineage mismatch removes its old
+    ``part-<pid>`` under a sink the new wave does not write, so the files
+    match the new manifests."""
+    import shutil
+
+    first, second = _sorted_copies(transcripts_parquet, tmp_path)
+    out = str(tmp_path / "ck_stale_sink")
+
+    r1 = run_checkpointed([second], out, _route_some_extra, SPEC,
+                          rows_per_partition=128, rgs_per_fragment=1)
+    assert r1["total_counts"]["extra"] > 0
+    assert glob.glob(os.path.join(out, "extra", "part-*", "*.parquet"))
+
+    # every old pid now maps to fragments of ``first``: all are recomputed
+    r2 = run_checkpointed([first, second], out, _transform, SPEC,
+                          rows_per_partition=128, rgs_per_fragment=1)
+    assert r2["skipped"] == 0 and r2["remaining"] == 0
+    assert "extra" not in r2["total_counts"]
+    assert not glob.glob(os.path.join(out, "extra", "part-*", "*.parquet"))
+    _assert_manifests_match_files(out)
 
 
 def test_list_fragments_expands_directories(transcripts_parquet, tmp_path):
