@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 
 def _init_ray(num_cpus: int | None):
@@ -80,13 +81,14 @@ def cmd_flagship(args) -> int:
                               "skipped": r["skipped"],
                               "counts": dict(r["total_counts"])}))
         else:
-            from .pipelines.transcript import run_flagship
+            from .pipelines.transcript import parse_enrich_route, write_sinks
+            from .sources.parquet import read_transcripts
 
-            res = run_flagship(args.input, out_dir=args.out)
-            df = res["sink_counts"].to_pandas()
-            counts = df.groupby("route")["n"].sum().to_dict()
-            print(json.dumps({"status": "ok",
-                              "counts": {k: int(v) for k, v in counts.items()}}))
+            counts: Counter = Counter()
+            routed = parse_enrich_route(read_transcripts(args.input))
+            for (route, *_), n in write_sinks(routed, args.out).items():
+                counts[route] += n
+            print(json.dumps({"status": "ok", "counts": dict(counts)}))
         return 0
     finally:
         if created:

@@ -4,15 +4,15 @@ The reference is a STREAMING agent: it tails files and processes events as
 they arrive (``ref: input/file/`` per-file offsets, SURVEY.md §3.1 EP2).
 Ray Data is a batch engine; the Ray-native analog is micro-batching: each
 arriving chunk of transcript rows runs through the SAME vectorized filter
-chain (one small Dataset per chunk), sinks append per-chunk partitions,
-and the running aggregates live on the DRIVER.
+chain and ``write_sinks`` (one small Dataset per chunk), sinks append
+per-chunk partitions, and the running aggregates live on the DRIVER.
 
-Running state is plain driver memory. Each chunk reduces to per-block
-partial tables inside ``map_batches`` (bounded by key cardinality per
-block, never rows), and the driver merges those partials into a
-``Counter`` (``IncrementalRunner``) or a seen-fingerprint ``set``
-(``StreamingDedup``). Chunks are fed one at a time by the caller, so the
-merge is sequential and deterministic without any locking. The state
+Running state is plain driver memory. Each chunk reduces to per-task
+partials (bounded by key cardinality per task, never rows), reported by
+the sink write tasks (``IncrementalRunner``) or built in ``map_batches``
+(``StreamingDedup``); the driver merges them into a ``Counter`` or a
+seen-fingerprint ``set``. Chunks are fed one at a time by the caller, so
+the merge is sequential and deterministic without any locking. The state
 lasts exactly as long as the runner object: a killed driver loses it,
 and a restarted tail run starts from empty state. The per-chunk sink
 directories it already wrote stay on disk.
@@ -44,10 +44,9 @@ class IncrementalRunner:
 
     def process_chunk(self, table: pa.Table) -> dict:
         """Convenience wrapper: one in-memory Arrow chunk (e.g. from a
-        socket source's poll loop).  Deliberately does NOT pass a row
-        count: both call paths must share the post-filter-count
-        semantics (a chunk whose rows are all dropped by the parse
-        chain writes no chunk dir and reports rows=0 either way)."""
+        socket source's poll loop). Like an empty chunk, a chunk whose
+        rows are all dropped by the parse chain writes no chunk dir and
+        reports rows=0."""
         import ray.data as rd
 
         if table.num_rows == 0:
@@ -55,38 +54,20 @@ class IncrementalRunner:
             return {"chunk": self.chunk_idx, "rows": 0, "groups_touched": 0}
         return self.process_chunk_dataset(rd.from_arrow(table))
 
-    def process_chunk_dataset(self, ds, n_rows: int | None = None) -> dict:
-        """Parse→enrich→route one chunk DATASET; append sinks; update
-        the running counts.  The chunk never lands on the driver as
-        rows: sinks are written from the materialized blocks, and the
-        count update reads per-block PARTIAL count tables, not the
-        chunk's columns."""
-        from .transcript import AGG_KEYS, parse_enrich_route
+    def process_chunk_dataset(self, ds) -> dict:
+        """Parse→enrich→route one chunk DATASET in one execution through
+        ``write_sinks``, whose write tasks also report the partial counts
+        that update the running state; no rows reach the driver."""
+        from .transcript import parse_enrich_route, write_sinks
 
-        routed = parse_enrich_route(ds, batch_size=None).materialize()
-        if n_rows is None:
-            n_rows = routed.count()
-        if n_rows == 0:
-            return {"chunk": self.chunk_idx, "rows": 0, "groups_touched": 0}
         chunk_dir = os.path.join(self.out_dir, f"chunk-{self.chunk_idx:06d}")
-        routed.write_parquet(chunk_dir, partition_cols=["route"])
-
-        def part_counts(batch: pa.Table) -> pa.Table:
-            p = batch.group_by(AGG_KEYS).aggregate([([], "count_all")])
-            cols = {k: p[k] for k in AGG_KEYS}   # by-name, never positional
-            cols["_n"] = p["count_all"]
-            return pa.table(cols)
-
-        part_rows = routed.select_columns(AGG_KEYS).map_batches(
-            part_counts, batch_format="pyarrow", batch_size=None).take_all()
-        # The driver merge also joins any group a per-block partial split
-        # (tuple keys compare None == None).
-        merged: Counter = Counter()
-        for r in part_rows:
-            merged[tuple(r[k] for k in AGG_KEYS)] += r["_n"]
+        merged = write_sinks(parse_enrich_route(ds, batch_size=None), chunk_dir)
+        rows = sum(merged.values())
+        if rows == 0:
+            return {"chunk": self.chunk_idx, "rows": 0, "groups_touched": 0}
         self.counts.update(merged)
         self.chunk_idx += 1
-        return {"chunk": self.chunk_idx - 1, "rows": n_rows,
+        return {"chunk": self.chunk_idx - 1, "rows": rows,
                 "groups_touched": len(merged)}
 
     def running_counts(self) -> dict:

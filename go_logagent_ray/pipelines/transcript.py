@@ -10,8 +10,8 @@ This is the Ray-Data re-expression of the reference's whole agent run
       └ map_batches(PatchStage)                     # F2/F3
       └ map_batches(LookupEnrich broadcast dict)    # J1
       └ map_batches(RouteStage)                     # R1 route column
-      ├ write_parquet(partition_cols=["route"])     # sinks, ONE pass
-      └ counts_by(route, role, tool, ts_hour)       # A1 (pre-aggregated)
+      └ write_datasink(RouteSink)                   # sinks, ONE pass, and
+                                                    #   A1 counts by AGG_KEYS
 
 The stage specs here mirror go_logagent_ray.oracle exactly — the oracle is
 the row-level reference the pipeline must equal.
@@ -19,8 +19,15 @@ the row-level reference the pipeline must equal.
 
 from __future__ import annotations
 
+import os
+import uuid
+from collections import Counter
+
 import pyarrow as pa
+import pyarrow.dataset as pds
 from ray.data import Dataset
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink
 
 from ..oracle import ENRICH_DEFAULT, ENRICH_LOOKUP, GROK_PATTERNS, SINKS
 from ..sources.parquet import read_transcripts
@@ -43,6 +50,57 @@ ROUTE_RULES = [
 ]
 
 AGG_KEYS = ["route", "role", "tool", "ts_hour"]
+
+
+class RouteSink(Datasink):
+    """Writes routed rows as hive parquet, ``<root>/route=<sink>/``, one
+    file per sink per write task. Each task reports its per-sink rows, the
+    written Arrow schema and its partial counts by ``AGG_KEYS`` (an Arrow
+    table, which ships far cheaper than a dict of Python tuples);
+    ``on_write_complete`` adds them up on the driver into ``rows``,
+    ``schema`` (None if nothing was written) and ``counts``. Adding tuple
+    keys also joins the null-key groups that pyarrow's grouper splits."""
+
+    def __init__(self, root: str):
+        self.root = root
+        self.rows: Counter = Counter()
+        self.counts: Counter = Counter()
+        self.schema: pa.Schema | None = None
+
+    def write(self, blocks, ctx):
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        if not sum(t.num_rows for t in tables):
+            return None
+        table = pa.concat_tables(tables, promote_options="permissive")
+        if table["route"].null_count:
+            raise ValueError("routed rows without a route")
+        written = []
+        pds.write_dataset(
+            table, self.root, format="parquet",
+            partitioning=["route"], partitioning_flavor="hive",
+            basename_template=uuid.uuid4().hex + "-{i}.parquet",
+            existing_data_behavior="overwrite_or_ignore",
+            file_visitor=written.append,
+        )
+        rows: Counter = Counter()
+        for f in written:  # += in case a sink ever spans several files
+            sink = os.path.basename(os.path.dirname(f.path))[len("route="):]
+            rows[sink] += f.metadata.num_rows
+        partial = table.group_by(AGG_KEYS).aggregate([([], "count_all")])
+        # the file's schema, not the table's: parquet renames list items
+        return rows, written[0].metadata.schema.to_arrow_schema(), partial
+
+    def on_write_complete(self, write_result):
+        for report in write_result.write_returns:
+            if report is None:  # the task got no rows
+                continue
+            rows, schema, partial = report
+            self.rows.update(rows)
+            keys = zip(*(partial[k].to_pylist() for k in AGG_KEYS))
+            for key, n in zip(keys, partial["count_all"].to_pylist()):
+                self.counts[key] += n
+            if self.schema is None:
+                self.schema = schema
 
 
 def parse_enrich_route(
@@ -111,19 +169,19 @@ def flagship_counts(written: Dataset) -> Dataset:
     )
 
 
-def write_sinks(routed: Dataset, out_dir: str) -> None:
-    """One streaming pass: hive-partitioned parquet, one dir per sink.
+def write_sinks(routed: Dataset, out_dir: str) -> Counter:
+    """One streaming pass through ``RouteSink``, one hive ``route=<sink>/``
+    dir per sink and no shuffle. Returns the counts by ``AGG_KEYS`` tuple
+    (the ``sink_counts`` groups) from the write tasks' partials. A null
+    ``route`` raises ``ValueError``.
 
-    ``route`` is the partition column, so sink fan-out costs no extra pass
-    and no shuffle. At 100 TB the downstream aggregate reads these files
-    back with column pruning instead of re-executing the parse chain.
-
-    NOTE: writing twice into the same directory APPENDS part files
-    (observed behavior of ``write_parquet``) — use a fresh directory, or
-    the checkpointed runner in ``state/checkpoint.py`` for atomic,
-    resumable per-partition commits.
+    NOTE: writing twice into the same directory APPENDS part files — use a
+    fresh directory, or the checkpointed runner in ``state/checkpoint.py``
+    for atomic, resumable per-partition commits.
     """
-    routed.write_parquet(out_dir, partition_cols=["route"])
+    sink = RouteSink(out_dir)
+    routed.write_datasink(sink)
+    return sink.counts
 
 
 def write_errors_json(routed: Dataset, path: str) -> None:
@@ -150,12 +208,12 @@ def conv_counts(routed: Dataset) -> Dataset:
 
 def run_flagship(
     paths: str | list[str],
-    out_dir: str | None = None,
     *,
     parse_concurrency: int | tuple[int, int] | None = None,
     batch_size: int | None = 16 * 1024,
 ) -> dict:
-    """Read → filter chain → (optional sinks) → aggregates.
+    """Read → filter chain → aggregates, all lazy (``write_sinks`` writes
+    the sinks and returns the per-sink counts in one pass).
 
     Returns {"routed": Dataset, "sink_counts": Dataset, "conv_counts":
     Dataset}. Ray must already be initialised by the caller (driver
@@ -165,8 +223,6 @@ def run_flagship(
     routed = parse_enrich_route(
         ds, parse_concurrency=parse_concurrency, batch_size=batch_size
     )
-    if out_dir is not None:
-        write_sinks(routed, out_dir)
     return {
         "routed": routed,
         "sink_counts": sink_counts(routed),

@@ -12,8 +12,8 @@ Design (SURVEY.md §4.3):
   ``(file, row-group range)`` — a pure function of the sorted input file
   list and ``rows_per_partition``, independent of Ray scheduling order.
 - Each partition is its own Dataset wave: read fragments → filter chain
-  → a staged write to ``out/.tmp-part-<pid>/route=<sink>/``, whose write
-  tasks report per-sink row counts and the written schema → an atomic
+  → a staged ``RouteSink`` write to ``out/.tmp-part-<pid>/route=<sink>/``,
+  whose tasks report per-sink row counts and the written schema → an atomic
   rename of each sink to ``out/<sink>/part-<pid>/`` → the manifest
   ``out/_manifest/part-<pid>.json`` (lineage + per-sink row counts from
   those reports + config hash), written via tmp+rename. A partition is
@@ -46,16 +46,14 @@ import hashlib
 import json
 import os
 import shutil
-import uuid
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
-from ray.data.block import BlockAccessor
-from ray.data.datasource import Datasink
+
+from ..pipelines.transcript import RouteSink
 
 
 @dataclass(frozen=True)
@@ -171,7 +169,7 @@ def fragments_dataset(frags: list[Fragment]):
 def run_checkpointed(
     input_paths: list[str],
     out_dir: str,
-    transform,  # Dataset -> Dataset (must add a `route` column)
+    transform,  # Dataset -> Dataset holding the transcript.AGG_KEYS columns
     pipeline_spec,  # hashable config for the config_hash guard
     *,
     rows_per_partition: int = 2_000_000,
@@ -263,16 +261,10 @@ def _run_wave(pid: int, part: list, routed, out_dir: str, cfg: str) -> dict:
     staging = os.path.join(out_dir, f".tmp-part-{pid}")
     if os.path.isdir(staging):
         shutil.rmtree(staging)  # leftover from a killed run — safe to redo
-    sink = _StagedRouteSink(staging)
+    sink = RouteSink(staging)
     routed.write_datasink(sink)
-
-    counts: Counter = Counter()
-    schema_hash = ""
-    for task_counts, schema in sink.results:
-        counts.update(task_counts)
-        if schema is not None and not schema_hash:
-            schema_hash = hashlib.sha256(
-                schema.to_string().encode()).hexdigest()[:16]
+    schema_hash = "" if sink.schema is None else hashlib.sha256(
+        sink.schema.to_string().encode()).hexdigest()[:16]
     # An uncommitted or lineage-mismatched earlier run may have left
     # part-<pid> under any sink, including one this wave does not write.
     # out_dir belongs to the runner: apart from _manifest and the
@@ -281,7 +273,7 @@ def _run_wave(pid: int, part: list, routed, out_dir: str, cfg: str) -> dict:
         old = os.path.join(out_dir, name, f"part-{pid}")
         if not name.startswith(("_", ".")) and os.path.isdir(old):
             shutil.rmtree(old)
-    for name in counts:
+    for name in sink.rows:
         dst = os.path.join(out_dir, name, f"part-{pid}")
         os.makedirs(os.path.dirname(dst), exist_ok=True)
         os.replace(os.path.join(staging, f"route={name}"), dst)
@@ -290,7 +282,7 @@ def _run_wave(pid: int, part: list, routed, out_dir: str, cfg: str) -> dict:
     manifest = {
         "part_id": pid,
         "fragments": [asdict(f) for f in part],
-        "counts": dict(counts),
+        "counts": dict(sink.rows),
         "rows_in": sum(f.rows for f in part),
         "config_hash": cfg,
         "schema_hash": schema_hash,
@@ -300,35 +292,3 @@ def _run_wave(pid: int, part: list, routed, out_dir: str, cfg: str) -> dict:
     )
     return manifest
 
-
-class _StagedRouteSink(Datasink):
-    """Writes each task's rows as ``<staging>/route=<sink>/<unique>.parquet``
-    without the ``route`` column. A task reports (per-sink row counts,
-    written Arrow schema); the driver finds them in ``results``."""
-
-    def __init__(self, staging: str):
-        self.staging = staging
-        self.results: list = []
-
-    def write(self, blocks, ctx):
-        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
-        if not sum(t.num_rows for t in tables):
-            return {}, None
-        table = pa.concat_tables(tables, promote_options="permissive")
-        routes = table["route"]
-        if routes.null_count:
-            raise ValueError("transform output has rows without a route")
-        data = table.drop_columns(["route"])
-        name = f"{uuid.uuid4().hex}.parquet"
-        counts = {}
-        for sink in pc.unique(routes).to_pylist():
-            rows = data.filter(pc.equal(routes, sink))
-            sink_dir = os.path.join(self.staging, f"route={sink}")
-            os.makedirs(sink_dir, exist_ok=True)
-            pq.write_table(rows, os.path.join(sink_dir, name))
-            counts[sink] = rows.num_rows
-        # the file's schema, not data.schema: parquet renames list items
-        return counts, pq.read_schema(os.path.join(sink_dir, name))
-
-    def on_write_complete(self, write_result):
-        self.results = write_result.write_returns

@@ -31,7 +31,8 @@ def ray_session():
 
 @pytest.fixture(scope="session")
 def transcripts_small():
-    """~400-row deterministic transcript table (FIXTURES.md smoke size)."""
+    """1,128-row deterministic transcript table: 50 conversations of mean
+    8 turns, one of them hot at 800 turns (FIXTURES.md smoke size)."""
     from go_logagent_ray.fixtures import gen_transcripts
 
     return gen_transcripts(50, 8, seed=42, hot_frac=0.02)

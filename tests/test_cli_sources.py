@@ -6,7 +6,11 @@ import pytest
 
 
 def test_cli_gen_and_flagship(ray_session, tmp_path, capsys):
+    """``flagship`` prints the oracle's per-route row totals."""
+    import pyarrow.parquet as pq
+
     from go_logagent_ray.cli import main
+    from go_logagent_ray.oracle import run_oracle
 
     src = str(tmp_path / "t.parquet")
     assert main(["gen", "--out", src, "--convs", "50"]) == 0
@@ -17,7 +21,10 @@ def test_cli_gen_and_flagship(ray_session, tmp_path, capsys):
     assert main(["flagship", "--input", src, "--out", sink]) == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out["status"] == "ok"
-    assert sum(out["counts"].values()) > 0
+    want: dict = {}
+    for (route, *_), n in run_oracle(pq.read_table(src))["sink_counts"].items():
+        want[route] = want.get(route, 0) + n
+    assert out["counts"] == want
 
 
 def test_cli_run_config(ray_session, tmp_path, capsys, transcripts_parquet):

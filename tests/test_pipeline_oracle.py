@@ -45,7 +45,7 @@ def _sorted_rows(table: pa.Table):
 
 
 def test_sink_row_sets_and_text_equality(routed, oracle_result):
-    got = to_table(routed["routed"])  # ~400 rows — fine to materialize in test
+    got = to_table(routed["routed"])  # ~1.1k rows — fine to materialize in test
     assert got.num_rows == sum(len(v) for v in oracle_result["sinks"].values())
 
     for sink in SINKS:
@@ -152,3 +152,58 @@ def test_counts_group_null_keys_once(ray_session, transcripts_null_ts,
     assert len(views["conv"]) == len(want["conv_counts"])
     assert {r["conv_id"]: r["n"] for r in views["conv"]} \
         == dict(want["conv_counts"])
+
+
+@pytest.mark.parametrize("table_name",
+                         ["transcripts_small", "transcripts_null_ts"])
+def test_write_sinks_returns_oracle_counts(ray_session, tmp_path, request,
+                                           table_name):
+    """``write_sinks`` returns the oracle's sink counts, one entry per
+    group, merged from several write tasks' partials (the ``(route, role,
+    tool, None)`` groups of null-``ts`` rows included)."""
+    from go_logagent_ray.oracle import run_oracle
+    from go_logagent_ray.pipelines.transcript import (parse_enrich_route,
+                                                      write_sinks)
+    from go_logagent_ray.sources.parquet import read_transcripts
+
+    table = request.getfixturevalue(table_name)
+    path = str(tmp_path / "in.parquet")
+    pq.write_table(table, path, row_group_size=256)
+    routed = parse_enrich_route(read_transcripts(path), batch_size=64)
+    got = write_sinks(routed, str(tmp_path / "sinks"))
+    want = run_oracle(table)["sink_counts"]
+    assert len(got) == len(want)
+    assert dict(got) == dict(want)
+
+
+def _unroute(ds):
+    """The flagship chain with every ``route`` nulled."""
+    from go_logagent_ray.pipelines.transcript import parse_enrich_route
+
+    def null_routes(batch):
+        i = batch.schema.get_field_index("route")
+        return batch.set_column(i, "route",
+                                pa.nulls(batch.num_rows, batch["route"].type))
+
+    return parse_enrich_route(ds, batch_size=64).map_batches(
+        null_routes, batch_format="pyarrow")
+
+
+def test_null_route_is_rejected(ray_session, transcripts_parquet, tmp_path):
+    """A routed row without a route fails the write: ``write_sinks`` and
+    ``run_checkpointed`` raise ``ValueError``, and no manifest commits."""
+    import glob
+
+    import ray.data as rd
+
+    from go_logagent_ray.pipelines.transcript import write_sinks
+    from go_logagent_ray.state.checkpoint import run_checkpointed
+
+    with pytest.raises(ValueError, match="without a route"):
+        write_sinks(_unroute(rd.read_parquet(transcripts_parquet)),
+                    str(tmp_path / "sinks"))
+    out = str(tmp_path / "ck")
+    with pytest.raises(ValueError, match="without a route"):
+        run_checkpointed([transcripts_parquet], out, _unroute,
+                         {"test": "null route"}, rows_per_partition=10_000)
+    assert not glob.glob(os.path.join(out, "_manifest", "*.json"))

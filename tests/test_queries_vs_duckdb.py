@@ -43,8 +43,6 @@ def _normalize(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def _query_names():
-    import sys
-    sys.path.insert(0, "/root/repo")
     from go_logagent_ray.pipelines.queries import (EXTRA_QUERIES, ORACLE_SQL,
                                                    QUERIES)
     return sorted(QUERIES) + sorted(EXTRA_QUERIES), ORACLE_SQL
