@@ -65,17 +65,13 @@ def cmd_flagship(args) -> int:
     ray, created = _init_ray(args.num_cpus)
     try:
         if args.checkpoint:
-            from .pipelines.transcript import (
-                GROK_PATTERNS, PATCH_OPS, ROUTE_RULES, parse_enrich_route,
-            )
+            from .pipelines.transcript import FLAGSHIP_SPEC, parse_enrich_route
             from .state.checkpoint import run_checkpointed
 
-            spec = {"grok": GROK_PATTERNS, "patch": PATCH_OPS,
-                    "route": ROUTE_RULES, "v": 1}
             r = run_checkpointed(
                 [args.input], args.out,
                 lambda ds: parse_enrich_route(ds),
-                spec, rows_per_partition=args.rows_per_partition,
+                FLAGSHIP_SPEC, rows_per_partition=args.rows_per_partition,
             )
             print(json.dumps({"status": "ok", "committed": r["committed"],
                               "skipped": r["skipped"],

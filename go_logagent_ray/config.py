@@ -68,7 +68,6 @@ def _grok(conf: dict):
         "patterns_path": conf.get("patterns_path"),
         "patterns_dir": conf.get("patterns_dir"),
         "tag_on_failure": conf.get("tag_on_failure", "_grokparsefailure"),
-        "prefilter": conf.get("prefilter", False),
     }
 
 

@@ -51,6 +51,17 @@ ROUTE_RULES = [
 
 AGG_KEYS = ["route", "role", "tool", "ts_hour"]
 
+# Every stage table of the flagship chain, for a checkpointed run's
+# config hash: changing any of them invalidates earlier commits. The
+# lookup is a list of pairs because JSON keys cannot be tuples.
+FLAGSHIP_SPEC = {
+    "grok": GROK_PATTERNS,
+    "patch": PATCH_OPS,
+    "enrich": {"lookup": sorted(ENRICH_LOOKUP.items()), "default": ENRICH_DEFAULT},
+    "route": ROUTE_RULES,
+    "v": 1,
+}
+
 
 class RouteSink(Datasink):
     """Writes routed rows as hive parquet, ``<root>/route=<sink>/``, one

@@ -8,13 +8,15 @@ zero_copy_batch=True, concurrency=N)``:
 - ``__init__`` expands the grok pattern dictionary and compiles each
   pattern ONCE per actor (the reference compiles once per process;
   BASELINE.json:L6 "compiled pattern dictionaries cached in actor pools").
-- ``__call__`` runs ``pyarrow.compute.extract_regex`` (Arrow's RE2 engine,
-  vectorized, zero-copy input) per pattern, coalescing captures in pattern
-  order — logstash-grok "first match wins" semantics — and appends
-  ``_grokparsefailure`` to ``tags`` on rows no pattern matched (null text
-  counts as no match). The source column (default ``text``) is passed
-  through untouched: per-turn byte equality is an invariant
-  (BASELINE.json:L15).
+- ``__call__`` runs one cascade of ``pyarrow.compute.extract_regex``
+  scans (Arrow's RE2 engine, vectorized, zero-copy input), one per
+  (field, pattern) attempt in field-major order, each over only the rows
+  no earlier attempt matched — logstash-grok "first match wins"
+  semantics. Each capture column is then gathered from the claiming
+  attempts' results with one take, and ``_grokparsefailure`` is appended
+  to ``tags`` on rows no attempt matched (null text counts as no match).
+  The source column (default ``text``) is passed through untouched:
+  per-turn byte equality is an invariant (BASELINE.json:L15).
 """
 
 from __future__ import annotations
@@ -29,37 +31,6 @@ from ..functions.arrow_utils import append_tag, as_combined, set_column
 from ..functions.grok import CompiledGrok, compile_grok
 
 _CAST_ARROW = {"int": pa.int64(), "float": pa.float64(), "string": pa.string()}
-
-_TOKEN_RE = re.compile(r"%\{\w+(?::\w+)?(?::\w+)?\}")
-_SAFE_RUN = re.compile(r"[A-Za-z0-9_= :,/-]{4,}")
-
-
-def _literal_prefilter(grok_source: str) -> str | None:
-    """Longest SOUND literal run in the grok source's non-token text.
-
-    A run is only a required substring of every match if no adjacent raw
-    regex changes its meaning, so: segments containing alternation,
-    groups, or character classes are skipped entirely (text inside
-    ``[...]`` is a set of alternatives, not a literal — treating it as
-    required would silently drop matching rows); a run followed by a
-    quantifier (``? * + {``) drops its last char (the quantifier makes it
-    optional); a run preceded by a backslash drops its first char (escape
-    sequence). Returns None when nothing ≥4 chars survives."""
-    best = ""
-    for segment in _TOKEN_RE.split(grok_source):
-        if any(c in segment for c in "|()[]"):
-            continue  # alternation/grouping/classes can bypass any literal
-        for m in _SAFE_RUN.finditer(segment):
-            run = m.group(0)
-            after = segment[m.end():m.end() + 1]
-            if after in ("?", "*", "+", "{"):
-                run = run[:-1]
-            before = segment[m.start() - 1:m.start()]
-            if before == "\\":
-                run = run[1:]
-            if len(run) >= 4 and len(run) > len(best):
-                best = run
-    return best or None
 
 
 class GrokParser:
@@ -84,7 +55,6 @@ class GrokParser:
         tag_on_failure: str = "_grokparsefailure",
         tags_column: str = "tags",
         overwrite: bool = True,
-        prefilter: bool = False,
     ):
         from ..functions.grok import load_pattern_file, load_patterns_dir
 
@@ -105,16 +75,6 @@ class GrokParser:
         self.compiled: list[CompiledGrok] = [
             compile_grok(p, extra_patterns=merged or None) for p in patterns
         ]
-        # Literal prefilters (opt-in): the longest plain-literal run in
-        # each grok SOURCE (text between %{...} tokens, safe chars only)
-        # is a necessary substring of any match, so a SIMD
-        # match_substring pass shrinks the extract's input. WORTH IT only
-        # when the pattern matches a small fraction of rows (≲10%): at
-        # ~50% selectivity the subset take + result scatter costs more
-        # than the saved regex time (measured), so the default is off.
-        self.prefilters: list[str | None] = [
-            _literal_prefilter(p) if prefilter else None for p in patterns
-        ]
         # RE2 via Arrow; validate eagerly so actor __init__ fails fast.
         for cg in self.compiled:
             re.compile(cg.regex)
@@ -134,69 +94,46 @@ class GrokParser:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-
-        # Per-(field, pattern) extraction with first-match-wins masking:
-        # attempt i+1 only scans rows every earlier attempt missed (the
-        # regex scan dominates stage CPU — on match-heavy streams this
-        # cuts most of the later attempts' work). Results scatter back
-        # through a take-index per attempt.
-        extracted: list[pa.StructArray] = []
-        scatter: list[np.ndarray | None] = []  # row idx each result row maps to
-        matched_any = np.zeros(n, dtype=bool)
-        matched_by: list[np.ndarray] = []
         cols = {f: as_combined(batch[f]) for f in self.fields}
-        for ui, (fname, pi) in enumerate(self.units):
+
+        # One shrinking cascade: each attempt scans only the rows no earlier
+        # attempt claimed (the whole column while none has matched yet) and
+        # records the rows it claims and where they sit in its result.
+        left: np.ndarray | None = None  # unclaimed row ids; None = all rows
+        claims: list[tuple[CompiledGrok, pa.StructArray, np.ndarray, np.ndarray]] = []
+        for fname, pi in self.units:
             cg = self.compiled[pi]
-            col = cols[fname]
-            cand = ~matched_any
-            lit = self.prefilters[pi]
-            if lit is not None:
-                hit = pc.match_substring(col, pattern=lit)
-                cand &= pc.fill_null(hit, False).to_numpy(
-                    zero_copy_only=False).astype(bool, copy=False)
-            if ui == 0 and cand.all():
-                subset, idx = col, None
-            else:
-                idx = np.nonzero(cand)[0]
-                subset = col.take(pa.array(idx))
+            col = cols[fname] if left is None else cols[fname].take(pa.array(left))
             try:
-                res = pc.extract_regex(subset, pattern=cg.regex)
+                res = pc.extract_regex(col, pattern=cg.regex)
             except pa.ArrowInvalid:
                 # Pattern not RE2-compatible → per-row Python fallback.
-                res = self._py_extract(subset, cg)
-            sub_m = pc.is_valid(res).to_numpy(zero_copy_only=False).astype(bool, copy=False)
-            m = np.zeros(n, dtype=bool)
-            if idx is None:
-                m[:] = sub_m
-            else:
-                m[idx] = sub_m
-            matched_by.append(m & ~matched_any)
-            matched_any |= m
-            extracted.append(res)
-            scatter.append(idx)
+                res = self._py_extract(col, cg)
+            hit = pc.is_valid(res).to_numpy(zero_copy_only=False)
+            at = np.flatnonzero(hit)
+            if not len(at):
+                continue
+            claims.append((cg, res, at if left is None else left[at], at))
+            left = np.flatnonzero(~hit) if left is None else left[~hit]
+            if not len(left):
+                break
 
-        # coalesce captures per name (disjoint by construction)
         for name in self.capture_names:
-            pieces: list[pa.Array] = []
-            for (fname, pi), res, use, idx in zip(self.units, extracted,
-                                                  matched_by, scatter):
-                cg = self.compiled[pi]
-                if name not in cg.captures:
-                    continue
-                vals = res.field(name)
-                if idx is not None:
-                    # scatter subset results to full length (mask below)
-                    back = np.full(n, 0, dtype=np.int64)
-                    back[idx] = np.arange(len(idx))
-                    vals = vals.take(pa.array(back, type=pa.int64())) if len(res) \
-                        else pa.nulls(n, pa.string())
-                # mask to rows THIS pattern claimed: extract_regex's struct
-                # children carry "" (not null) for unmatched rows
-                vals = pc.if_else(pa.array(use), vals, pa.nulls(n, pa.string()))
-                pieces.append(vals)
-            arr = pieces[0]
-            for p in pieces[1:]:
-                arr = pc.coalesce(arr, p)
+            # The claiming attempts' values end to end, and per row its
+            # position there (null where no attempt with this capture
+            # claimed the row). Unmatched struct rows carry "" children.
+            children: list[pa.Array] = []
+            pos = np.zeros(n, dtype=np.int64)
+            claimed = np.zeros(n, dtype=bool)
+            for cg, res, rows, at in claims:
+                if name in cg.captures:
+                    pos[rows] = at + sum(len(c) for c in children)
+                    claimed[rows] = True
+                    children.append(res.field(name))
+            if children:
+                arr = pa.concat_arrays(children).take(pa.array(pos, mask=~claimed))
+            else:
+                arr = pa.nulls(n, pa.string())
             cast = self.casts.get(name)
             if cast and cast != "string":
                 if cast == "int":
@@ -209,11 +146,12 @@ class GrokParser:
             if name not in batch.column_names or self.overwrite:
                 batch = set_column(batch, name, arr)
 
+        failed = np.zeros(n, dtype=bool)
+        failed[slice(None) if left is None else left] = True
         tags = batch[self.tags_column] if self.tags_column in batch.column_names else None
-        batch = set_column(
-            batch, self.tags_column, append_tag(tags, ~matched_any, self.tag_on_failure, n)
+        return set_column(
+            batch, self.tags_column, append_tag(tags, failed, self.tag_on_failure, n)
         )
-        return batch
 
     def _py_extract(self, col: pa.Array, cg: CompiledGrok) -> pa.StructArray:
         """Python ``re`` fallback for patterns RE2 rejects (rare path)."""

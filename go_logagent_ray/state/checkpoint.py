@@ -27,6 +27,8 @@ Design (SURVEY.md §4.3):
 - Resume: list manifests, subtract committed partitions, run only the
   remainder; aggregate metrics merge committed manifest counts with the
   new waves. Idempotent: commits are atomic, partitions deterministic.
+  Pids past the current plan (left by a run with smaller partitions) lose
+  their manifests and sink data before any wave starts.
 
 Scale note: each wave spreads its fragments over the whole cluster, and
 the overlap only hides one wave's driver-side work (planning, executor
@@ -45,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -114,6 +117,10 @@ def config_hash(spec) -> str:
     ).hexdigest()[:16]
 
 
+# ``part-<pid>`` (a sink's data) or ``part-<pid>.json`` (its manifest).
+_PART_RE = re.compile(r"part-(\d+)(?:\.json)?")
+
+
 def _manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
 
@@ -132,6 +139,25 @@ def committed_partitions(out_dir: str, cfg_hash: str) -> dict[int, dict]:
         if m.get("config_hash") == cfg_hash:
             out[int(m["part_id"])] = m
     return out
+
+
+def _drop_partitions_from(out_dir: str, first: int) -> None:
+    """Delete the manifest, then each sink's data, of every pid >= ``first``.
+
+    A plan with fewer partitions than an earlier run's leaves those pids
+    behind; their rows would otherwise sit in the sinks twice."""
+    for name in sorted(os.listdir(out_dir), key=lambda d: d != "_manifest"):
+        sub = os.path.join(out_dir, name)
+        if name.startswith(".") or not os.path.isdir(sub):
+            continue  # a wave's staging, not a sink
+        for entry in os.listdir(sub):
+            m = _PART_RE.fullmatch(entry)
+            if m and int(m.group(1)) >= first:
+                path = os.path.join(sub, entry)
+                if os.path.isdir(path):
+                    shutil.rmtree(path)
+                else:
+                    os.remove(path)
 
 
 def _atomic_write_json(path: str, obj) -> None:
@@ -187,6 +213,7 @@ def run_checkpointed(
 
     frags = list_fragments(input_paths, rgs_per_fragment)
     parts = plan_partitions(frags, rows_per_partition)
+    _drop_partitions_from(out_dir, len(parts))
     done = committed_partitions(out_dir, cfg)
 
     manifests: list[dict] = []

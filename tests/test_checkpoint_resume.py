@@ -332,6 +332,41 @@ def test_recomputed_partition_drops_sink_it_no_longer_writes(
     _assert_manifests_match_files(out)
 
 
+def test_smaller_plan_drops_partitions_past_it(
+        ray_session, transcripts_parquet, tmp_path):
+    """A rerun whose plan has fewer partitions deletes the manifests and
+    sink data of the pids past it, so no row sits in the sinks twice."""
+    out = str(tmp_path / "ck_shrunk")
+    r1 = run_checkpointed([transcripts_parquet], out, _transform, SPEC,
+                          rows_per_partition=300, rgs_per_fragment=1)
+    assert r1["committed"] == 5
+    r2 = run_checkpointed([transcripts_parquet], out, _transform, SPEC,
+                          rows_per_partition=10**9, rgs_per_fragment=1)
+    assert r2["committed"] == 1 and r2["remaining"] == 0
+    assert os.listdir(os.path.join(out, "_manifest")) == ["part-0.json"]
+    rows_in = pq.ParquetFile(transcripts_parquet).metadata.num_rows
+    assert sum(_file_rows(out).values()) == rows_in
+    assert sum(r2["total_counts"].values()) == rows_in
+    _assert_manifests_match_files(out)
+
+
+def test_flagship_spec_names_every_stage_constant():
+    """The checkpoint spec of the flagship chain covers each stage's
+    table, so changing any of them invalidates earlier commits."""
+    from go_logagent_ray.pipelines.transcript import (
+        ENRICH_DEFAULT, ENRICH_LOOKUP, FLAGSHIP_SPEC, GROK_PATTERNS, PATCH_OPS,
+        ROUTE_RULES)
+
+    assert FLAGSHIP_SPEC["grok"] is GROK_PATTERNS
+    assert FLAGSHIP_SPEC["patch"] is PATCH_OPS
+    assert dict(FLAGSHIP_SPEC["enrich"]["lookup"]) == ENRICH_LOOKUP
+    assert FLAGSHIP_SPEC["enrich"]["default"] is ENRICH_DEFAULT
+    assert FLAGSHIP_SPEC["route"] is ROUTE_RULES
+    changed = {**FLAGSHIP_SPEC, "enrich": {**FLAGSHIP_SPEC["enrich"],
+                                           "default": ("x", "t_x")}}
+    assert config_hash(changed) != config_hash(FLAGSHIP_SPEC)
+
+
 def test_list_fragments_expands_directories(transcripts_parquet, tmp_path):
     """Regression (ADVICE r1): CLI --input DIR advertised but a directory
     crashed ParquetFile; directories now expand to contained parquet."""

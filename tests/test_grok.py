@@ -89,32 +89,43 @@ def test_base_patterns_all_compile():
         compile_grok(f"%{{{name}:x}}")
 
 
-def test_prefilter_soundness_with_adjacent_regex():
-    """Regression: quantifier/alternation adjacent to a literal run must
-    not produce an unsound prefilter that drops matching rows."""
-    from go_logagent_ray.stages.grok import GrokParser, _literal_prefilter
-
-    # 'u?' makes the u optional; 'color' must still match
-    p = GrokParser(["%{INT:n} colou?r"], prefilter=True)
+def test_grok_quantifier_next_to_literal():
+    """A quantifier right after a literal run makes its last char
+    optional: both spellings match."""
+    p = GrokParser(["%{INT:n} colou?r"])
     out = p(_table(["5 color", "6 colour", "zzz"]))
     assert out["n"].to_pylist() == ["5", "6", None]
-    # alternation segments are skipped entirely
-    assert _literal_prefilter("%{INT:n} foox|barx") is None
-    # escape prefix drops the first run char
-    assert _literal_prefilter(r"%{INT:n} \dabcdef=") == "abcdef="
+    assert out["tags"].to_pylist() == [[], [], ["_grokparsefailure"]]
 
 
-def test_prefilter_skips_character_classes():
-    """Regression (ADVICE r1): text inside [...] is a set of alternatives,
-    not a required literal — '%{INT:n} id=[A-Z0-9]+x' must not prefilter
-    on 'A-Z0-9' and drop rows like '7 id=AB12x' that actually match."""
-    from go_logagent_ray.stages.grok import GrokParser, _literal_prefilter
-
-    assert _literal_prefilter("%{INT:n} id=[A-Z0-9]+x") is None
-    p = GrokParser(["%{INT:n} id=[A-Z0-9]+x"], prefilter=True)
+def test_grok_character_class_after_literal():
+    """Text inside [...] is a set of alternatives, not a literal:
+    '7 id=AB12x' matches 'id=[A-Z0-9]+x'."""
+    p = GrokParser(["%{INT:n} id=[A-Z0-9]+x"])
     out = p(_table(["7 id=AB12x", "nope"]))
     assert out["n"].to_pylist() == ["7", None]
     assert out["tags"].to_pylist() == [[], ["_grokparsefailure"]]
+
+
+def test_grok_zero_row_batch():
+    """An empty batch keeps the capture columns' types."""
+    p = GrokParser(["a=%{INT:a:int}", "b=%{WORD:b}"])
+    out = p(_table([]))
+    assert out.num_rows == 0
+    assert out.schema.field("a").type == pa.int64()
+    assert out.schema.field("b").type == pa.string()
+    assert out["tags"].to_pylist() == []
+
+
+def test_grok_all_miss_batch():
+    """No row matches either pattern: every capture is null and every row
+    is tagged."""
+    p = GrokParser(["a=%{INT:a:int}", "b=%{WORD:b}"])
+    out = p(_table(["zzz", None, "", "a=x"]))
+    assert out["a"].to_pylist() == [None] * 4
+    assert out["a"].type == pa.int64()
+    assert out["b"].to_pylist() == [None] * 4
+    assert out["tags"].to_pylist() == [["_grokparsefailure"]] * 4
 
 
 def test_pattern_file_loading(tmp_path):

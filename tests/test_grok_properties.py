@@ -68,3 +68,41 @@ def test_multi_pattern_first_match_wins_property(texts):
             assert out["b"][i].as_py() == int(m2.group("b"))
         else:
             assert out["tags"][i].as_py() == ["_grokparsefailure"]
+
+
+_FIELD_TEXT = st.one_of(
+    st.none(),
+    st.text(alphabet="xy =0123abc-+", max_size=16),
+    st.builds(lambda k, v: f"{k} {v}", st.sampled_from(["x", "y", "z"]),
+              st.from_regex(r"[+-]?[0-9a-c]{1,4}(=[0-9a-c]{1,3})?",
+                            fullmatch=True)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_FIELD_TEXT, _FIELD_TEXT), min_size=0, max_size=20))
+def test_multi_field_shared_capture_property(rows):
+    """Two fields × two patterns that share the capture ``v``: each row
+    takes its captures from the first (field, pattern) attempt, in
+    field-major order, whose regex finds a match."""
+    patterns = ["x %{INT:v}", "y %{WORD:w}=%{WORD:v}"]
+    parser = GrokParser(patterns, field=["a", "b"])
+    cgs = [compile_grok(p) for p in patterns]
+    rxs = [re.compile(cg.regex) for cg in cgs]
+    out = parser(pa.table({
+        "a": pa.array([a for a, _ in rows], type=pa.string()),
+        "b": pa.array([b for _, b in rows], type=pa.string()),
+    }))
+    for i, row in enumerate(rows):
+        want = {"v": None, "w": None}
+        tags = ["_grokparsefailure"]
+        hits = ((cg, rx.search(t)) for t in row for cg, rx in zip(cgs, rxs)
+                if t is not None)
+        for cg, m in hits:
+            if m:
+                want.update({k: m.group(k) for k in cg.captures})
+                tags = []
+                break
+        assert {k: out[k][i].as_py() for k in want} == want
+        assert out["tags"][i].as_py() == tags
+        assert (out["a"][i].as_py(), out["b"][i].as_py()) == row
