@@ -7,8 +7,9 @@ grok/patch filter chain → output fan-out), re-expressed Ray-Data-first:
 - events are rows of an Arrow-backed ``ray.data.Dataset`` (not per-row Go
   channel messages),
 - the filter chain is a sequence of vectorized ``map_batches`` stages over
-  zero-copy Arrow batches (grok = compiled-regex actor pool, patch = column
-  ops, enrich = broadcast dict lookup),
+  zero-copy Arrow batches (grok = a cascade of Arrow regex scans, patch =
+  column ops, enrich = broadcast dict lookup); the flagship chain is built
+  from one spec, ``pipelines.transcript.FLAGSHIP_SPEC``,
 - the output fan-out is a conditional router writing partitioned
   Parquet/JSON sinks, and
 - per-sink groupby-aggregate counts are the correctness oracle.

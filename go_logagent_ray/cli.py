@@ -69,8 +69,7 @@ def cmd_flagship(args) -> int:
             from .state.checkpoint import run_checkpointed
 
             r = run_checkpointed(
-                [args.input], args.out,
-                lambda ds: parse_enrich_route(ds),
+                [args.input], args.out, parse_enrich_route,
                 FLAGSHIP_SPEC, rows_per_partition=args.rows_per_partition,
             )
             print(json.dumps({"status": "ok", "committed": r["committed"],

@@ -31,7 +31,7 @@ class IncrementalRunner:
     """Feed transcript chunks; sinks append, running counts stay exact.
 
     Counts are keyed by ``transcript.AGG_KEYS`` tuples, the same keys as
-    the batch ``sink_counts``. NOT for the 100 TB backfill path (use the
+    the batch ``write_sinks`` counts. NOT for the 100 TB backfill path (use the
     checkpointed batch runner); this is the low-latency tail-processing
     mode for new data arriving in chunks.
     """

@@ -5,16 +5,17 @@ This is the Ray-Data re-expression of the reference's whole agent run
 (``main.go`` wiring input→filter chain→output fan-out, SURVEY.md §3.1):
 
     read_transcripts(transcripts)                   # S1, 1 block/CPU
-      └ map_batches(GrokParser)                     # F1; actor pool only
-                                                    #   with parse_concurrency
+      └ map_batches(GrokParser)                     # F1
       └ map_batches(PatchStage)                     # F2/F3
       └ map_batches(LookupEnrich broadcast dict)    # J1
       └ map_batches(RouteStage)                     # R1 route column
       └ write_datasink(RouteSink)                   # sinks, ONE pass, and
                                                     #   A1 counts by AGG_KEYS
 
-The stage specs here mirror go_logagent_ray.oracle exactly — the oracle is
-the row-level reference the pipeline must equal.
+The four stages are instances (plain tasks) that ``parse_enrich_route``
+builds from ``FLAGSHIP_SPEC`` in one loop. The stage specs here mirror
+go_logagent_ray.oracle exactly — the oracle is the row-level reference the
+pipeline must equal.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from ray.data import Dataset
 from ray.data.block import BlockAccessor
 from ray.data.datasource import Datasink
 
-from ..oracle import ENRICH_DEFAULT, ENRICH_LOOKUP, GROK_PATTERNS, SINKS
-from ..sources.parquet import read_transcripts
-from ..stages.aggregate import counts_by
+from ..oracle import ENRICH_DEFAULT, ENRICH_LOOKUP, GROK_PATTERNS
 from ..stages.enrich import LookupEnrich
 from ..stages.grok import GrokParser
 from ..stages.patch import PatchStage
@@ -51,16 +50,26 @@ ROUTE_RULES = [
 
 AGG_KEYS = ["route", "role", "tool", "ts_hour"]
 
-# Every stage table of the flagship chain, for a checkpointed run's
-# config hash: changing any of them invalidates earlier commits. The
-# lookup is a list of pairs because JSON keys cannot be tuples.
+# The flagship chain: each stage's full constructor arguments, in chain
+# order. ``parse_enrich_route`` builds the chain from this alone, and a
+# checkpointed run hashes it, so changing any argument invalidates earlier
+# commits. JSON-hashable: the lookup is sorted pairs (JSON keys cannot be
+# tuples).
 FLAGSHIP_SPEC = {
-    "grok": GROK_PATTERNS,
-    "patch": PATCH_OPS,
-    "enrich": {"lookup": sorted(ENRICH_LOOKUP.items()), "default": ENRICH_DEFAULT},
-    "route": ROUTE_RULES,
-    "v": 1,
+    "grok": {"patterns": GROK_PATTERNS},
+    "patch": {"ops": PATCH_OPS},
+    "enrich": {
+        "lookup": sorted(ENRICH_LOOKUP.items()),
+        "key_fields": ("role", "tool"),
+        "value_names": ("agent_kind", "enrich_tag"),
+        "tag_value_index": 1,
+        "default": ENRICH_DEFAULT,
+    },
+    "route": {"rules": ROUTE_RULES, "default_sink": "default"},
 }
+
+_STAGE_OF = {"grok": GrokParser, "patch": PatchStage,
+             "enrich": LookupEnrich, "route": RouteStage}
 
 
 class RouteSink(Datasink):
@@ -114,57 +123,17 @@ class RouteSink(Datasink):
                 self.schema = schema
 
 
-def parse_enrich_route(
-    ds: Dataset,
-    *,
-    parse_concurrency: int | tuple[int, int] | None = None,
-    batch_size: int | None = 16 * 1024,
-) -> Dataset:
-    """The full filter chain; lazy — nothing executes until consumed.
-
-    ``parse_concurrency`` sizes the grok actor pool (None → stateless
-    tasks; fine for small runs, use a pool on real clusters so pattern
-    compilation is amortized per actor, BASELINE.json:L6).
-    """
-    grok_kwargs = dict(patterns=GROK_PATTERNS)
-    if parse_concurrency is not None:
+def parse_enrich_route(ds: Dataset, *, batch_size: int | None = 16 * 1024) -> Dataset:
+    """The full filter chain, built from ``FLAGSHIP_SPEC``; lazy — nothing
+    executes until consumed. Each stage runs as an instance in plain tasks
+    (the pickled ``GrokParser`` carries its expanded patterns); a config
+    chain can still put a class stage in an actor pool with
+    ``concurrency``."""
+    for name, stage in _STAGE_OF.items():
         ds = ds.map_batches(
-            GrokParser,
-            fn_constructor_kwargs=grok_kwargs,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=parse_concurrency,
+            stage(**FLAGSHIP_SPEC[name]), batch_format="pyarrow",
+            zero_copy_batch=True, batch_size=batch_size,
         )
-    else:
-        ds = ds.map_batches(
-            GrokParser(**grok_kwargs),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-    ds = ds.map_batches(
-        PatchStage(PATCH_OPS), batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=batch_size,
-    )
-    ds = ds.map_batches(
-        LookupEnrich(
-            ENRICH_LOOKUP,
-            key_fields=("role", "tool"),
-            value_names=("agent_kind", "enrich_tag"),
-            tag_value_index=1,
-            default=ENRICH_DEFAULT,
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-    )
-    ds = ds.map_batches(
-        RouteStage(ROUTE_RULES, default_sink="default"),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-    )
     return ds
 
 
@@ -174,17 +143,13 @@ def flagship_counts(written: Dataset) -> Dataset:
     from ..stages.aggregate import fused_counts
 
     return fused_counts(
-        written,
-        {"sink": ["route", "role", "tool", "ts_hour"], "conv": ["conv_id"]},
-        alias="n",
-    )
+        written, {"sink": AGG_KEYS, "conv": ["conv_id"]}, alias="n")
 
 
 def write_sinks(routed: Dataset, out_dir: str) -> Counter:
     """One streaming pass through ``RouteSink``, one hive ``route=<sink>/``
     dir per sink and no shuffle. Returns the counts by ``AGG_KEYS`` tuple
-    (the ``sink_counts`` groups) from the write tasks' partials. A null
-    ``route`` raises ``ValueError``.
+    from the write tasks' partials. A null ``route`` raises ``ValueError``.
 
     NOTE: writing twice into the same directory APPENDS part files — use a
     fresh directory, or the checkpointed runner in ``state/checkpoint.py``
@@ -205,37 +170,3 @@ def write_errors_json(routed: Dataset, path: str) -> None:
     routed.map_batches(
         split_to_sink, fn_kwargs={"sink": "errors"}, batch_format="pyarrow",
     ).write_json(path)
-
-
-def sink_counts(routed: Dataset) -> Dataset:
-    """A1: counts by (route, role, tool, ts_hour); columns named for SQL."""
-    return counts_by(routed, AGG_KEYS, alias="n")
-
-
-def conv_counts(routed: Dataset) -> Dataset:
-    """A1: per-conversation turn counts."""
-    return counts_by(routed, ["conv_id"], alias="n")
-
-
-def run_flagship(
-    paths: str | list[str],
-    *,
-    parse_concurrency: int | tuple[int, int] | None = None,
-    batch_size: int | None = 16 * 1024,
-) -> dict:
-    """Read → filter chain → aggregates, all lazy (``write_sinks`` writes
-    the sinks and returns the per-sink counts in one pass).
-
-    Returns {"routed": Dataset, "sink_counts": Dataset, "conv_counts":
-    Dataset}. Ray must already be initialised by the caller (driver
-    contract — this library never calls ray.init).
-    """
-    ds = read_transcripts(paths)
-    routed = parse_enrich_route(
-        ds, parse_concurrency=parse_concurrency, batch_size=batch_size
-    )
-    return {
-        "routed": routed,
-        "sink_counts": sink_counts(routed),
-        "conv_counts": conv_counts(routed),
-    }

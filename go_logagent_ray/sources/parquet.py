@@ -8,7 +8,6 @@ the read-side scale hygiene:
 
 - column pruning at the read (never load columns a 2-column transform
   doesn't need),
-- expression pushdown to row groups via ``filter=``,
 - one output block per CPU slot of the running session
   (``override_num_blocks``). Left to itself, Ray splits every file into
   ~1 MiB blocks (``ReadParquet->SplitBlocks``); the filter chain's 16k-row
@@ -26,11 +25,7 @@ from __future__ import annotations
 from ray.data import Dataset
 
 
-def read_transcripts(
-    paths: str | list[str],
-    columns: list[str] | None = None,
-    filter_expr=None,
-) -> Dataset:
+def read_transcripts(paths: str | list[str], columns: list[str] | None = None) -> Dataset:
     import ray
     import ray.data as rd
 
@@ -38,8 +33,6 @@ def read_transcripts(
     kwargs = {"override_num_blocks": int(ray.cluster_resources()["CPU"])}
     if columns is not None:
         kwargs["columns"] = columns
-    if filter_expr is not None:
-        kwargs["filter"] = filter_expr
     return rd.read_parquet(paths, **kwargs)
 
 

@@ -27,33 +27,31 @@ _SEP = "\x1f"  # unit separator — cannot appear in role/tool values
 class LookupEnrich:
     """Vectorized (key1, key2) → value columns broadcast lookup.
 
-    ``lookup``: dict[(k1, k2)] -> tuple of values, one per ``value_names``.
-    The last value name listed in ``tag_from`` (if set) is appended to
-    ``tags`` instead of becoming a column.
+    ``lookup``: dict[(k1, k2)] -> tuple of values, one per ``value_names``
+    (or the same as a list of pairs); a ``(k1, "")`` key is k1's wildcard.
+    The value at ``tag_value_index`` (if set) is appended to ``tags``
+    instead of becoming a column.
     """
 
     def __init__(
         self,
-        lookup: dict[tuple[str, str], tuple],
+        lookup: dict[tuple[str, str], tuple] | list[tuple[tuple[str, str], tuple]],
         key_fields: tuple[str, str] = ("role", "tool"),
         value_names: tuple[str, ...] = ("agent_kind",),
         tag_value_index: int | None = None,
         default: tuple | None = None,
-        wildcard_second_key: str = "",
-        tags_column: str = "tags",
     ):
         self.key_fields = key_fields
         self.value_names = value_names
         self.tag_value_index = tag_value_index
         self.default = default
-        self.tags_column = tags_column
 
         exact_keys, exact_vals = [], []
         wild_keys, wild_vals = [], []
-        for (k1, k2), vals in lookup.items():
+        for (k1, k2), vals in dict(lookup).items():
             exact_keys.append(f"{k1}{_SEP}{k2}")
             exact_vals.append(vals)
-            if k2 == wildcard_second_key:
+            if k2 == "":
                 wild_keys.append(k1)
                 wild_vals.append(vals)
         self.exact_keys = pa.array(exact_keys, type=pa.string())
@@ -81,7 +79,7 @@ class LookupEnrich:
             if self.default is not None:
                 arr = pc.fill_null(arr, self.default[i])
             if self.tag_value_index is not None and i == self.tag_value_index:
-                tags = batch[self.tags_column] if self.tags_column in batch.column_names else None
+                tags = batch["tags"] if "tags" in batch.column_names else None
                 # append each row's looked-up tag: group rows by distinct tag
                 # value and append per distinct value (few distinct tags)
                 arr_comb = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
@@ -89,7 +87,7 @@ class LookupEnrich:
                     mask = pc.fill_null(pc.equal(arr_comb, tag), False)
                     mask_np = mask.to_numpy(zero_copy_only=False).astype(bool, copy=False)
                     tags = append_tag(tags, mask_np, tag, n)
-                batch = set_column(batch, self.tags_column, tags if tags is not None else
+                batch = set_column(batch, "tags", tags if tags is not None else
                                    append_tag(None, np.zeros(n, dtype=bool), "", n))
             else:
                 batch = set_column(batch, self.value_names[i], arr)

@@ -54,7 +54,6 @@ class GrokParser:
         patterns_dir: str | None = None,
         tag_on_failure: str = "_grokparsefailure",
         tags_column: str = "tags",
-        overwrite: bool = True,
     ):
         from ..functions.grok import load_pattern_file, load_patterns_dir
 
@@ -78,15 +77,16 @@ class GrokParser:
         # RE2 via Arrow; validate eagerly so actor __init__ fails fast.
         for cg in self.compiled:
             re.compile(cg.regex)
-        # Union of capture names in first-seen order; casts merged.
-        self.capture_names: list[str] = []
+        # Capture name -> cast (no cast is "string"), in first-seen order.
+        # One column per capture, so the patterns must agree on its cast.
         self.casts: dict[str, str] = {}
         for cg in self.compiled:
             for name in cg.captures:
-                if name not in self.capture_names:
-                    self.capture_names.append(name)
-            self.casts.update(cg.casts)
-        self.overwrite = overwrite
+                cast = cg.casts.get(name, "string")
+                if self.casts.setdefault(name, cast) != cast:
+                    raise ValueError(
+                        f"grok capture {name!r} cast to both "
+                        f"{self.casts[name]!r} and {cast!r}")
         # field-major (field, pattern-idx) attempt order
         self.units: list[tuple[str, int]] = [
             (f, pi) for f in self.fields for pi in range(len(self.compiled))
@@ -118,7 +118,7 @@ class GrokParser:
             if not len(left):
                 break
 
-        for name in self.capture_names:
+        for name, cast in self.casts.items():
             # The claiming attempts' values end to end, and per row its
             # position there (null where no attempt with this capture
             # claimed the row). Unmatched struct rows carry "" children.
@@ -134,8 +134,7 @@ class GrokParser:
                 arr = pa.concat_arrays(children).take(pa.array(pos, mask=~claimed))
             else:
                 arr = pa.nulls(n, pa.string())
-            cast = self.casts.get(name)
-            if cast and cast != "string":
+            if cast != "string":
                 if cast == "int":
                     # grok INT matches [+-]?\d+ and Python int() accepts
                     # a leading '+', but Arrow's string→int parser does
@@ -143,8 +142,7 @@ class GrokParser:
                     arr = pc.replace_substring_regex(
                         arr, pattern=r"^\+", replacement="")
                 arr = pc.cast(arr, _CAST_ARROW[cast])
-            if name not in batch.column_names or self.overwrite:
-                batch = set_column(batch, name, arr)
+            batch = set_column(batch, name, arr)
 
         failed = np.zeros(n, dtype=bool)
         failed[slice(None) if left is None else left] = True

@@ -5,12 +5,12 @@ SURVEY.md §2.2 F2) as one fused vectorized ``map_batches`` stage. Supported
 ops, applied in order:
 
 - ``("add_field", name, template)`` — static string or ``%{field}`` /
-  ``%{+strftime}`` interpolated value (the reference's LogEvent.Format
-  feature, ``ref: utils/logevent.go`` [U-recall]), compiled at stage build
-  time into a vectorized element-wise concat.
+  ``%{+strftime}`` (of ``ts``) interpolated value (the reference's
+  LogEvent.Format feature, ``ref: utils/logevent.go`` [U-recall]), compiled
+  at stage build time into a vectorized element-wise concat.
 - ``("remove_field", name)`` / ``("rename_field", old, new)``
 - ``("convert", name, "int"|"float"|"string")`` — type cast
-- ``("add_tag", tag)`` / ``("remove_tag", tag)``
+- ``("add_tag", tag)`` / ``("remove_tag", tag)`` — on the ``tags`` list
 - ``("time_floor", src, dst, unit)`` — e.g. ts → ts_hour buckets (A1 prep)
 
 Stateless: pass the instance to ``map_batches`` directly (plain tasks) —
@@ -56,10 +56,8 @@ def _compile_template(template: str):
 class PatchStage:
     """Fused, vectorized patch operations over one Arrow batch."""
 
-    def __init__(self, ops: list[tuple], ts_field: str = "ts", tags_column: str = "tags"):
+    def __init__(self, ops: list[tuple]):
         self.ops = []
-        self.ts_field = ts_field
-        self.tags_column = tags_column
         for op in ops:
             kind = op[0]
             if kind == "add_field":
@@ -89,7 +87,7 @@ class PatchStage:
                     col = pc.cast(col, pa.string())
                 pieces.append(col)
             else:  # time
-                ts = as_combined(batch[self.ts_field])
+                ts = as_combined(batch["ts"])
                 pieces.append(pc.strftime(ts, format=val))
         if len(pieces) == 1:
             return pieces[0]
@@ -112,14 +110,12 @@ class PatchStage:
                 col = as_combined(batch[op[1]])
                 batch = set_column(batch, op[1], pc.cast(col, _CAST[op[2]]))
             elif kind == "add_tag":
-                tags = batch[self.tags_column] if self.tags_column in batch.column_names else None
+                tags = batch["tags"] if "tags" in batch.column_names else None
                 mask = np.ones(n, dtype=bool)
-                batch = set_column(batch, self.tags_column, append_tag(tags, mask, op[1], n))
+                batch = set_column(batch, "tags", append_tag(tags, mask, op[1], n))
             elif kind == "remove_tag":
-                if self.tags_column in batch.column_names:
-                    batch = set_column(
-                        batch, self.tags_column, remove_tag(batch[self.tags_column], op[1])
-                    )
+                if "tags" in batch.column_names:
+                    batch = set_column(batch, "tags", remove_tag(batch["tags"], op[1]))
             elif kind == "time_floor":
                 src, dst, unit = op[1], op[2], op[3]
                 floored = pc.floor_temporal(as_combined(batch[src]), unit=unit)

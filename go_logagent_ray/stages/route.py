@@ -30,12 +30,10 @@ class RouteStage:
         self,
         rules: list[tuple[str, list[tuple]]],
         default_sink: str = "default",
-        route_column: str = "route",
         tags_column: str = "tags",
     ):
         self.rules = rules
         self.default_sink = default_sink
-        self.route_column = route_column
         self.tags_column = tags_column
 
     def _pred_mask(self, batch: pa.Table, pred: tuple) -> np.ndarray:
@@ -57,10 +55,9 @@ class RouteStage:
             m &= unclaimed
             route[m] = sink
             unclaimed &= ~m
-        return set_column(batch, self.route_column, pa.array(route, type=pa.string()))
+        return set_column(batch, "route", pa.array(route, type=pa.string()))
 
 
-def split_to_sink(batch: pa.Table, sink: str, route_column: str = "route") -> pa.Table:
+def split_to_sink(batch: pa.Table, sink: str) -> pa.Table:
     """Vectorized per-sink filter, for ``map_batches`` before a sink write."""
-    mask = pc.equal(batch[route_column], sink)
-    return batch.filter(mask)
+    return batch.filter(pc.equal(batch["route"], sink))

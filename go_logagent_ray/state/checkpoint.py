@@ -27,8 +27,9 @@ Design (SURVEY.md §4.3):
 - Resume: list manifests, subtract committed partitions, run only the
   remainder; aggregate metrics merge committed manifest counts with the
   new waves. Idempotent: commits are atomic, partitions deterministic.
-  Pids past the current plan (left by a run with smaller partitions) lose
-  their manifests and sink data before any wave starts.
+  Before any wave starts, every pid that is not a valid commit under the
+  current config and lineage (including pids past the current plan, left
+  by a run with smaller partitions) loses its manifest and sink data.
 
 Scale note: each wave spreads its fragments over the whole cluster, and
 the overlap only hides one wave's driver-side work (planning, executor
@@ -141,18 +142,22 @@ def committed_partitions(out_dir: str, cfg_hash: str) -> dict[int, dict]:
     return out
 
 
-def _drop_partitions_from(out_dir: str, first: int) -> None:
-    """Delete the manifest, then each sink's data, of every pid >= ``first``.
+def _drop_partitions_except(out_dir: str, keep: set[int]) -> None:
+    """Delete the manifest, then each sink's data, of every pid not in
+    ``keep`` (the valid commits).
 
-    A plan with fewer partitions than an earlier run's leaves those pids
-    behind; their rows would otherwise sit in the sinks twice."""
+    An earlier run under another config, lineage or plan leaves pids that
+    are either recomputed or past the new plan; their old rows would
+    otherwise sit in the sinks beside (or instead of) the new ones. out_dir
+    belongs to the runner: apart from ``_manifest`` and the ``.tmp-part-*``
+    staging, each directory in it is a sink."""
     for name in sorted(os.listdir(out_dir), key=lambda d: d != "_manifest"):
         sub = os.path.join(out_dir, name)
         if name.startswith(".") or not os.path.isdir(sub):
             continue  # a wave's staging, not a sink
         for entry in os.listdir(sub):
             m = _PART_RE.fullmatch(entry)
-            if m and int(m.group(1)) >= first:
+            if m and int(m.group(1)) not in keep:
                 path = os.path.join(sub, entry)
                 if os.path.isdir(path):
                     shutil.rmtree(path)
@@ -213,19 +218,21 @@ def run_checkpointed(
 
     frags = list_fragments(input_paths, rgs_per_fragment)
     parts = plan_partitions(frags, rows_per_partition)
-    _drop_partitions_from(out_dir, len(parts))
-    done = committed_partitions(out_dir, cfg)
+    # A commit is valid only under this config AND if its LINEAGE matches
+    # the freshly planned fragments — if the input file set changed,
+    # partition ids reshuffle and a config-hash-only match would silently
+    # skip the wrong data. Every other pid is dropped before any wave
+    # starts (valid commits past a ``max_partitions`` cut stay).
+    done = {pid: m for pid, m in committed_partitions(out_dir, cfg).items()
+            if pid < len(parts)
+            and m["fragments"] == [asdict(f) for f in parts[pid]]}
+    _drop_partitions_except(out_dir, set(done))
 
     manifests: list[dict] = []
     todo: list[tuple[int, list[Fragment]]] = []
     for pid, part in enumerate(parts):
-        committed = done.get(pid)
-        # A committed pid is only valid if its LINEAGE matches the freshly
-        # planned fragments — if the input file set changed, partition ids
-        # reshuffle and a config-hash-only match would silently skip the
-        # wrong data. Mismatched manifests are recomputed (atomic replace).
-        if committed is not None and committed["fragments"] == [asdict(f) for f in part]:
-            manifests.append(committed)
+        if pid in done:
+            manifests.append(done[pid])
             continue
         if max_partitions is not None and len(todo) >= max_partitions:
             break
@@ -292,14 +299,7 @@ def _run_wave(pid: int, part: list, routed, out_dir: str, cfg: str) -> dict:
     routed.write_datasink(sink)
     schema_hash = "" if sink.schema is None else hashlib.sha256(
         sink.schema.to_string().encode()).hexdigest()[:16]
-    # An uncommitted or lineage-mismatched earlier run may have left
-    # part-<pid> under any sink, including one this wave does not write.
-    # out_dir belongs to the runner: apart from _manifest and the
-    # .tmp-part-* staging, each directory in it is a sink.
-    for name in os.listdir(out_dir):
-        old = os.path.join(out_dir, name, f"part-{pid}")
-        if not name.startswith(("_", ".")) and os.path.isdir(old):
-            shutil.rmtree(old)
+    # run_checkpointed already dropped any earlier part-<pid>
     for name in sink.rows:
         dst = os.path.join(out_dir, name, f"part-{pid}")
         os.makedirs(os.path.dirname(dst), exist_ok=True)

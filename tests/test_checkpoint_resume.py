@@ -158,8 +158,8 @@ def _file_rows(out: str) -> dict[tuple[str, int], int]:
     return rows
 
 
-def _assert_manifests_match_files(out: str) -> dict[int, dict]:
-    manifests = committed_partitions(out, config_hash(SPEC))
+def _assert_manifests_match_files(out: str, spec=SPEC) -> dict[int, dict]:
+    manifests = committed_partitions(out, config_hash(spec))
     want = {(sink, pid): n for pid, m in manifests.items()
             for sink, n in m["counts"].items()}
     assert _file_rows(out) == want
@@ -350,21 +350,89 @@ def test_smaller_plan_drops_partitions_past_it(
     _assert_manifests_match_files(out)
 
 
-def test_flagship_spec_names_every_stage_constant():
-    """The checkpoint spec of the flagship chain covers each stage's
-    table, so changing any of them invalidates earlier commits."""
-    from go_logagent_ray.pipelines.transcript import (
-        ENRICH_DEFAULT, ENRICH_LOOKUP, FLAGSHIP_SPEC, GROK_PATTERNS, PATCH_OPS,
-        ROUTE_RULES)
+def test_config_change_with_cut_drops_old_config_data(
+        ray_session, transcripts_parquet, tmp_path):
+    """A call under a new config, cut short by ``max_partitions``, drops
+    every old-config partition, not only the ones it recomputes: the sink
+    files equal the current config's manifests."""
+    out = str(tmp_path / "ck_cfg_cut")
+    r1 = run_checkpointed([transcripts_parquet], out, _transform, SPEC,
+                          rows_per_partition=128, rgs_per_fragment=1)
+    assert r1["committed"] > 2
+    other = {"pipeline": "flagship", "v": 2}
+    r2 = run_checkpointed([transcripts_parquet], out, _transform, other,
+                          rows_per_partition=128, rgs_per_fragment=1,
+                          max_partitions=1)
+    assert r2["committed"] == 1 and r2["skipped"] == 0
+    assert os.listdir(os.path.join(out, "_manifest")) == ["part-0.json"]
+    assert list(_assert_manifests_match_files(out, other)) == [0]
 
-    assert FLAGSHIP_SPEC["grok"] is GROK_PATTERNS
-    assert FLAGSHIP_SPEC["patch"] is PATCH_OPS
-    assert dict(FLAGSHIP_SPEC["enrich"]["lookup"]) == ENRICH_LOOKUP
-    assert FLAGSHIP_SPEC["enrich"]["default"] is ENRICH_DEFAULT
-    assert FLAGSHIP_SPEC["route"] is ROUTE_RULES
-    changed = {**FLAGSHIP_SPEC, "enrich": {**FLAGSHIP_SPEC["enrich"],
-                                           "default": ("x", "t_x")}}
-    assert config_hash(changed) != config_hash(FLAGSHIP_SPEC)
+
+def test_valid_commit_past_cut_survives(
+        ray_session, transcripts_parquet, tmp_path, oracle_result):
+    """A valid commit after a ``max_partitions`` cut keeps its manifest and
+    sink data, and the next call skips it; the invalid pids before it are
+    dropped."""
+    import json
+
+    out = str(tmp_path / "ck_past_cut")
+    r1 = run_checkpointed([transcripts_parquet], out, _transform, SPEC,
+                          rows_per_partition=128, rgs_per_fragment=1)
+    n = r1["committed"]
+    assert n > 3
+    mdir = os.path.join(out, "_manifest")
+    for pid in (0, 1):  # commits of another config: no longer valid
+        path = os.path.join(mdir, f"part-{pid}.json")
+        with open(path) as f:
+            m = json.load(f)
+        m["config_hash"] = "stale"
+        with open(path, "w") as f:
+            json.dump(m, f)
+    kept = os.path.join(mdir, "part-2.json")
+    mtime = os.path.getmtime(kept)
+    files_2 = {k: v for k, v in _file_rows(out).items() if k[1] == 2}
+    assert files_2
+
+    r2 = run_checkpointed([transcripts_parquet], out, _transform, SPEC,
+                          rows_per_partition=128, rgs_per_fragment=1,
+                          max_partitions=1)
+    assert r2["committed"] == 1 and r2["remaining"] == n - 1
+    assert os.path.getmtime(kept) == mtime
+    assert not os.path.exists(os.path.join(mdir, "part-1.json"))
+    rows = _file_rows(out)
+    assert not [k for k in rows if k[1] == 1]
+    assert {k: v for k, v in rows.items() if k[1] == 2} == files_2
+    _assert_manifests_match_files(out)
+
+    r3 = run_checkpointed([transcripts_parquet], out, _transform, SPEC,
+                          rows_per_partition=128, rgs_per_fragment=1)
+    assert r3["skipped"] == n - 1 and r3["committed"] == 1
+    assert os.path.getmtime(kept) == mtime
+    _assert_manifests_match_files(out)
+    expected = {s: len(rows) for s, rows in oracle_result["sinks"].items() if rows}
+    assert dict(r3["total_counts"]) == expected
+
+
+def test_flagship_spec_names_every_stage_constant():
+    """``FLAGSHIP_SPEC`` holds every constructor argument of the flagship
+    chain (``parse_enrich_route`` builds the stages from it alone), so
+    changing any one of them changes the checkpoint config hash and
+    invalidates earlier commits."""
+    import copy
+
+    from go_logagent_ray.pipelines.transcript import FLAGSHIP_SPEC
+
+    assert FLAGSHIP_SPEC["route"]["default_sink"] == "default"
+    assert FLAGSHIP_SPEC["enrich"]["value_names"] == ("agent_kind", "enrich_tag")
+    hashes = {config_hash(FLAGSHIP_SPEC)}
+    n_args = 0
+    for stage, kwargs in FLAGSHIP_SPEC.items():
+        for arg in kwargs:
+            changed = copy.deepcopy(FLAGSHIP_SPEC)
+            changed[stage][arg] = f"changed {stage}.{arg}"
+            hashes.add(config_hash(changed))
+            n_args += 1
+    assert n_args == 9 and len(hashes) == n_args + 1
 
 
 def test_list_fragments_expands_directories(transcripts_parquet, tmp_path):

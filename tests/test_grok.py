@@ -77,6 +77,24 @@ def test_grok_shared_capture_coalesce():
     assert out["v"].to_pylist() == ["5", "abc"]
 
 
+def test_grok_shared_capture_cast_conflict_raises():
+    """One capture, one column: patterns that cast it differently fail at
+    build time (no cast counts as ``string``), not on the first row of the
+    other pattern."""
+    with pytest.raises(ValueError, match="'v'"):
+        GrokParser(["x %{INT:v:int}", "y %{WORD:v}"])
+    with pytest.raises(ValueError, match="'v'"):
+        GrokParser(["x %{INT:v:int}", "y %{NUMBER:v:float}"])
+
+
+def test_grok_shared_capture_agreeing_casts():
+    p = GrokParser(["x %{INT:v:int}", "y %{INT:v:int}"])
+    out = p(_table(["x 5", "y 7", "z"]))
+    assert out["v"].to_pylist() == [5, 7, None]
+    out = GrokParser(["x %{INT:v}", "y %{WORD:v:string}"])(_table(["x 5", "y abc"]))
+    assert out["v"].to_pylist() == ["5", "abc"]
+
+
 def test_grok_appends_to_existing_tags():
     p1 = GrokParser("a=%{INT:a}", tag_on_failure="fail_a")
     p2 = GrokParser("b=%{INT:b}", tag_on_failure="fail_b")

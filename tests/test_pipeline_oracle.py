@@ -29,10 +29,12 @@ from go_logagent_ray.oracle import SINKS
 
 @pytest.fixture(scope="module")
 def routed(ray_session, transcripts_parquet):
-    from go_logagent_ray.pipelines.transcript import run_flagship
+    """The flagship chain, run once (materialized) for the tests below."""
+    from go_logagent_ray.pipelines.transcript import parse_enrich_route
+    from go_logagent_ray.sources.parquet import read_transcripts
 
-    res = run_flagship(transcripts_parquet, parse_concurrency=2, batch_size=64)
-    return res
+    return parse_enrich_route(read_transcripts(transcripts_parquet),
+                              batch_size=64).materialize()
 
 
 def _sorted_rows(table: pa.Table):
@@ -45,7 +47,7 @@ def _sorted_rows(table: pa.Table):
 
 
 def test_sink_row_sets_and_text_equality(routed, oracle_result):
-    got = to_table(routed["routed"])  # ~1.1k rows — fine to materialize in test
+    got = to_table(routed)  # ~1.1k rows — fine to materialize in test
     assert got.num_rows == sum(len(v) for v in oracle_result["sinks"].values())
 
     for sink in SINKS:
@@ -69,16 +71,84 @@ def test_sink_row_sets_and_text_equality(routed, oracle_result):
 
 
 def test_aggregate_counts_match_oracle(routed, oracle_result):
+    from go_logagent_ray.pipelines.transcript import AGG_KEYS
+    from go_logagent_ray.stages.aggregate import counts_by
+
     got = {
         (r["route"], r["role"], r["tool"], r["ts_hour"]): r["n"]
-        for r in to_table(routed["sink_counts"]).to_pylist()
+        for r in to_table(counts_by(routed, AGG_KEYS, alias="n")).to_pylist()
     }
     assert got == dict(oracle_result["sink_counts"])
 
 
 def test_conv_counts_match_oracle(routed, oracle_result):
-    got = {r["conv_id"]: r["n"] for r in to_table(routed["conv_counts"]).to_pylist()}
+    from go_logagent_ray.stages.aggregate import counts_by
+
+    got = {r["conv_id"]: r["n"]
+           for r in to_table(counts_by(routed, ["conv_id"], alias="n")).to_pylist()}
     assert got == dict(oracle_result["conv_counts"])
+
+
+def test_chain_plan_is_built_from_flagship_spec(ray_session, transcripts_small):
+    """The chain's logical plan is exactly four ``MapBatches``, one per
+    stage in chain order, each an instance built from ``FLAGSHIP_SPEC``
+    (pickled byte for byte) with the requested batch size. logbench's
+    ``chain_stages`` reads this plan."""
+    import pickle
+
+    import ray.data as rd
+
+    from go_logagent_ray.pipelines.transcript import (FLAGSHIP_SPEC,
+                                                      parse_enrich_route)
+    from go_logagent_ray.stages.enrich import LookupEnrich
+    from go_logagent_ray.stages.grok import GrokParser
+    from go_logagent_ray.stages.patch import PatchStage
+    from go_logagent_ray.stages.route import RouteStage
+
+    ds = parse_enrich_route(rd.from_arrow(transcripts_small), batch_size=100)
+    ops = []
+    op = ds._logical_plan.dag
+    while type(op).__name__ == "MapBatches":
+        ops.append(op)
+        op = op.input_dependencies[0]
+    assert type(op).__name__ == "FromArrow"
+    want = [cls(**FLAGSHIP_SPEC[name]) for name, cls in (
+        ("grok", GrokParser), ("patch", PatchStage),
+        ("enrich", LookupEnrich), ("route", RouteStage))]
+    assert list(FLAGSHIP_SPEC) == ["grok", "patch", "enrich", "route"]
+    assert [type(o._fn) for o in reversed(ops)] == [type(w) for w in want]
+    for o, w in zip(reversed(ops), want):
+        assert (o._batch_size, o._batch_format, o._zero_copy_batch) \
+            == (100, "pyarrow", True)
+        assert pickle.dumps(o._fn) == pickle.dumps(w)
+
+
+def test_config_grok_actor_pool_matches_tasks(ray_session, transcripts_parquet):
+    """A config chain's class stage runs in an actor pool when its part
+    sets ``concurrency``; the flagship grok stage there gives the same
+    table as the task path."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from go_logagent_ray.config import Pipeline
+    from go_logagent_ray.oracle import GROK_PATTERNS
+    from go_logagent_ray.stages.grok import GrokParser
+
+    def run(**opts):
+        part = {"type": "grok", "patterns": GROK_PATTERNS, "batch_size": 64, **opts}
+        ds = Pipeline.from_config({"filters": [part]}).transform(
+            rd.read_parquet(transcripts_parquet))
+        out = to_table(ds)
+        return ds, out.take(pc.sort_indices(out, sort_keys=[
+            ("conv_id", "ascending"), ("turn_idx", "ascending")]))
+
+    task_ds, tasks = run()
+    pool_ds, pooled = run(concurrency=2)
+    # the pool is built from the class, the task path from an instance
+    assert pool_ds._logical_plan.dag._fn is GrokParser
+    assert isinstance(task_ds._logical_plan.dag._fn, GrokParser)
+    assert tasks.num_rows == pq.ParquetFile(transcripts_parquet).metadata.num_rows
+    assert pooled.equals(tasks)
 
 
 def test_sinks_written_partitioned(ray_session, transcripts_parquet, tmp_path, oracle_result):
@@ -127,25 +197,27 @@ def test_counts_group_null_keys_once(ray_session, transcripts_null_ts,
                                      tmp_path):
     """A null key is ONE group in the final combine: both
     ``flagship_counts`` views (whose per-conv view null-pads the sink
-    keys) and ``sink_counts`` with null ``ts_hour`` rows equal the
-    oracle with one row per group, over a multi-batch input."""
+    keys) and ``counts_by`` over ``AGG_KEYS`` with null ``ts_hour`` rows
+    equal the oracle with one row per group, over a multi-batch input."""
     import pyarrow.compute as pc
     import ray.data as rd
 
     from go_logagent_ray.oracle import run_oracle
     from go_logagent_ray.pipelines.transcript import (
-        flagship_counts, parse_enrich_route, sink_counts)
+        AGG_KEYS, flagship_counts, parse_enrich_route)
+    from go_logagent_ray.stages.aggregate import counts_by
 
     path = str(tmp_path / "null_ts.parquet")
     pq.write_table(transcripts_null_ts, path, row_group_size=1024)
     want = run_oracle(transcripts_null_ts)
     assert any(k[3] is None for k in want["sink_counts"])
 
-    routed = parse_enrich_route(rd.read_parquet(path))
+    routed = parse_enrich_route(rd.read_parquet(path)).materialize()
     fused = to_table(flagship_counts(routed))
     views = {v: fused.filter(pc.equal(fused["_agg"], v)).to_pylist()
              for v in ("sink", "conv")}
-    for rows in (views["sink"], to_table(sink_counts(routed)).to_pylist()):
+    sink_counts = to_table(counts_by(routed, AGG_KEYS, alias="n")).to_pylist()
+    for rows in (views["sink"], sink_counts):
         assert len(rows) == len(want["sink_counts"])
         assert {(r["route"], r["role"], r["tool"], r["ts_hour"]): r["n"]
                 for r in rows} == dict(want["sink_counts"])
