@@ -11,8 +11,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-TAGS_TYPE = pa.list_(pa.string())
-
 
 def as_combined(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """One contiguous Array from a possibly-chunked column."""
@@ -21,122 +19,70 @@ def as_combined(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     return col
 
 
-def empty_tags(n: int) -> pa.ListArray:
-    """A list<string> column of ``n`` empty lists (never null)."""
-    offsets = pa.array(np.zeros(n + 1, dtype=np.int32), type=pa.int32())
-    return pa.ListArray.from_arrays(offsets, pa.array([], type=pa.string()))
-
-
 def bool_mask_numpy(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     """Boolean numpy mask from an Arrow boolean array, nulls → False."""
     filled = pc.fill_null(arr, False)
     return as_combined(filled).to_numpy(zero_copy_only=False).astype(bool, copy=False)
 
 
-def _null_lists_to_empty(base: pa.ListArray) -> pa.ListArray:
-    """Rebuild a list<string> array with null rows as empty lists."""
-    offsets = base.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    start = offsets[0]
-    values = base.values
-    if start != 0 or len(values) != offsets[-1] - start:
-        values = values.slice(start, offsets[-1] - start)
-        offsets = offsets - start
-    valid = pc.is_valid(base).to_numpy(zero_copy_only=False).astype(bool, copy=False)
-    old_lens = np.diff(offsets)
-    new_lens = np.where(valid, old_lens, 0)
-    new_offsets = np.zeros(len(new_lens) + 1, dtype=np.int64)
-    np.cumsum(new_lens, out=new_offsets[1:])
-    keep = np.repeat(valid, old_lens)
-    new_values = values.filter(pa.array(keep)) if len(keep) else values
-    return pa.ListArray.from_arrays(pa.array(new_offsets).cast(pa.int32()), new_values)
+def _tag_lists(tags: pa.Array | pa.ChunkedArray | None, n: int = 0) -> tuple[np.ndarray, pa.Array]:
+    """Each row's tag count and all rows' tags, in row order.
 
-
-def append_tag(tags: pa.Array | pa.ChunkedArray | None, mask: np.ndarray, tag: str, n: int) -> pa.ListArray:
-    """Append ``tag`` to each row's tag list where ``mask`` is True.
-
-    Fully vectorized list-append: recomputes offsets with a cumsum and
-    scatters existing values + inserted tags through a take-index array.
-    Null input lists are treated as empty.
+    ``tags`` may be None (``n`` empty rows), chunked or sliced. A null slot
+    counts as an empty list, whatever span of values its offsets cover.
     """
     if tags is None:
-        base = empty_tags(n)
-    else:
-        base = as_combined(tags)
-        if base.null_count:
-            base = _null_lists_to_empty(base)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return base
+        return np.zeros(n, dtype=np.int64), pa.array([], type=pa.string())
+    base = as_combined(tags)
+    lens = pc.fill_null(pc.list_value_length(base), 0)
+    return lens.to_numpy(zero_copy_only=False).astype(np.int64), base.flatten()
 
-    offsets = base.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    # base may be a slice of a larger values buffer; normalize.
-    start = offsets[0]
-    old_lens = np.diff(offsets)
-    values = base.values
-    if start != 0 or len(values) != offsets[-1] - start:
-        values = values.slice(start, offsets[-1] - start)
-        offsets = offsets - start
-    old_total = int(offsets[-1])
 
-    new_lens = old_lens + mask
-    new_offsets = np.zeros(len(new_lens) + 1, dtype=np.int64)
-    np.cumsum(new_lens, out=new_offsets[1:])
-    new_total = int(new_offsets[-1])
+def _per_row(lens: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """How many of each row's tags ``hit`` marks."""
+    cum = np.zeros(len(hit) + 1, dtype=np.int64)
+    np.cumsum(hit, out=cum[1:])
+    ends = np.cumsum(lens)
+    return cum[ends] - cum[ends - lens]
 
-    # Source index per output slot: existing values keep order, shifted by
-    # the number of tags inserted before their row; tag slots point at the
-    # single appended tag value.
-    src = np.empty(new_total, dtype=np.int64)
-    if old_total:
-        # position of row i's existing values in output = new_offsets[i] + k
-        existing_positions = np.repeat(new_offsets[:-1] - offsets[:-1], old_lens) + np.arange(old_total)
-        src[existing_positions] = np.arange(old_total)
-    tag_positions = new_offsets[1:][mask] - 1
-    src[tag_positions] = old_total
 
-    pool = pa.concat_arrays([values.cast(pa.string()), pa.array([tag], type=pa.string())])
-    new_values = pool.take(pa.array(src))
-    return pa.ListArray.from_arrays(pa.array(new_offsets, type=pa.int64()).cast(pa.int32())
-                                    if new_total < 2**31 else pa.array(new_offsets, type=pa.int64()),
-                                    new_values)
+def _from_lens(lens: np.ndarray, values: pa.Array) -> pa.ListArray:
+    """A ``list<string>`` array from per-row lengths and all rows' values."""
+    offsets = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    return pa.ListArray.from_arrays(pa.array(offsets).cast(pa.int32()), values.cast(pa.string()))
+
+
+def append_tag(tags: pa.Array | pa.ChunkedArray | None, values: pa.Array | pa.ChunkedArray) -> pa.ListArray:
+    """Append ``values[i]`` to row i's tag list; a null value appends nothing.
+
+    One take through a scatter index: existing tags keep their order and
+    each row's new tag goes last. Null tag lists count as empty.
+    """
+    values = as_combined(values)
+    lens, old = _tag_lists(tags, len(values))
+    add = bool_mask_numpy(pc.is_valid(values))
+    new_lens = lens + add
+    is_new = np.zeros(int(new_lens.sum()), dtype=bool)
+    is_new[np.cumsum(new_lens)[add] - 1] = True
+    src = np.empty(len(is_new), dtype=np.int64)
+    src[~is_new] = np.arange(len(old))
+    src[is_new] = len(old) + np.flatnonzero(add)
+    pool = pa.concat_arrays([old.cast(pa.string()), values.cast(pa.string())])
+    return _from_lens(new_lens, pool.take(pa.array(src)))
 
 
 def remove_tag(tags: pa.Array | pa.ChunkedArray, tag: str) -> pa.ListArray:
     """Remove every occurrence of ``tag`` from each row's list (vectorized)."""
-    base = as_combined(tags)
-    offsets = base.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    start = offsets[0]
-    values = base.values
-    if start != 0 or len(values) != offsets[-1] - start:
-        values = values.slice(start, offsets[-1] - start)
-        offsets = offsets - start
-    keep = pc.fill_null(pc.not_equal(values, tag), True)
-    keep_np = keep.to_numpy(zero_copy_only=False).astype(bool, copy=False)
-    old_lens = np.diff(offsets)
-    # new length per row = count of kept values in the row's slice
-    kept_cum = np.zeros(len(keep_np) + 1, dtype=np.int64)
-    np.cumsum(keep_np, out=kept_cum[1:])
-    new_lens = kept_cum[offsets[1:]] - kept_cum[offsets[:-1]]
-    new_offsets = np.zeros(len(new_lens) + 1, dtype=np.int64)
-    np.cumsum(new_lens, out=new_offsets[1:])
-    new_values = values.filter(keep)
-    return pa.ListArray.from_arrays(pa.array(new_offsets).cast(pa.int32()), new_values)
+    lens, old = _tag_lists(tags)
+    hit = bool_mask_numpy(pc.equal(old, tag))
+    return _from_lens(lens - _per_row(lens, hit), old.filter(pa.array(~hit)))
 
 
 def has_tag(tags: pa.Array | pa.ChunkedArray, tag: str) -> np.ndarray:
     """Boolean mask: does each row's tag list contain ``tag``?"""
-    base = as_combined(tags)
-    offsets = base.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    start = offsets[0]
-    values = base.values
-    if start != 0 or len(values) != offsets[-1] - start:
-        values = values.slice(start, offsets[-1] - start)
-        offsets = offsets - start
-    hit = pc.fill_null(pc.equal(values, tag), False)
-    hit_np = hit.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    cum = np.zeros(len(hit_np) + 1, dtype=np.int64)
-    np.cumsum(hit_np, out=cum[1:])
-    return (cum[offsets[1:]] - cum[offsets[:-1]]) > 0
+    lens, old = _tag_lists(tags)
+    return _per_row(lens, bool_mask_numpy(pc.equal(old, tag))) > 0
 
 
 def set_column(table: pa.Table, name: str, arr: pa.Array | pa.ChunkedArray) -> pa.Table:

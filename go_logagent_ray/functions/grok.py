@@ -160,7 +160,6 @@ class CompiledGrok:
 def compile_grok(
     pattern: str,
     extra_patterns: dict[str, str] | None = None,
-    anchor: bool = False,
 ) -> CompiledGrok:
     """Expand a grok expression into an RE2-compatible regex.
 
@@ -197,8 +196,6 @@ def compile_grok(
         return _TOKEN.sub(repl, pat)
 
     regex = expand(pattern, 0)
-    if anchor:
-        regex = f"^(?:{regex})$"
     # Validate with Python's re (superset of RE2 for these constructs).
     re.compile(regex)
     return CompiledGrok(source=pattern, regex=regex, captures=captures, casts=casts)

@@ -77,7 +77,10 @@ def run_oracle(table: pa.Table) -> dict[str, Any]:
           "conv_counts": Counter[conv_id],
         }
     """
-    compiled = [(compile_grok(p), re.compile(compile_grok(p).regex)) for p in GROK_PATTERNS]
+    # re.ASCII: RE2 (the pipeline's extract_regex), like the reference's Go
+    # regexp, reads \w, \d and \b as ASCII classes; Python's default is Unicode
+    compiled = [(compile_grok(p), re.compile(compile_grok(p).regex, re.ASCII))
+                for p in GROK_PATTERNS]
     capture_names: list[str] = []
     casts: dict[str, str] = {}
     for cg, _ in compiled:

@@ -15,7 +15,6 @@ fallback if the small side ever outgrows broadcast (SURVEY.md §2.4 J1).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -63,7 +62,6 @@ class LookupEnrich:
         self.wild_cols = [pa.array([v[i] for v in wild_vals]) for i in range(ncols)]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
         k1 = as_combined(batch[self.key_fields[0]])
         k2 = as_combined(batch[self.key_fields[1]])
         composite = pc.binary_join_element_wise(
@@ -78,17 +76,9 @@ class LookupEnrich:
             arr = pc.coalesce(got, wild)
             if self.default is not None:
                 arr = pc.fill_null(arr, self.default[i])
-            if self.tag_value_index is not None and i == self.tag_value_index:
+            if i == self.tag_value_index:
                 tags = batch["tags"] if "tags" in batch.column_names else None
-                # append each row's looked-up tag: group rows by distinct tag
-                # value and append per distinct value (few distinct tags)
-                arr_comb = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-                for tag in pc.unique(pc.drop_null(arr_comb)).to_pylist():
-                    mask = pc.fill_null(pc.equal(arr_comb, tag), False)
-                    mask_np = mask.to_numpy(zero_copy_only=False).astype(bool, copy=False)
-                    tags = append_tag(tags, mask_np, tag, n)
-                batch = set_column(batch, "tags", tags if tags is not None else
-                                   append_tag(None, np.zeros(n, dtype=bool), "", n))
+                batch = set_column(batch, "tags", append_tag(tags, arr))
             else:
                 batch = set_column(batch, self.value_names[i], arr)
         return batch

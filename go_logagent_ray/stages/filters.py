@@ -57,18 +57,16 @@ def pred_mask(batch: pa.Table, pred: tuple, tags_column: str = "tags") -> np.nda
 class DropStage:
     """Drop rows where ALL predicates hold (or keep them, inverted)."""
 
-    def __init__(self, predicates: list[tuple], mode: str = "drop",
-                 tags_column: str = "tags"):
+    def __init__(self, predicates: list[tuple], mode: str = "drop"):
         if mode not in ("drop", "keep"):
             raise ValueError("mode must be 'drop' or 'keep'")
         self.predicates = predicates
         self.mode = mode
-        self.tags_column = tags_column
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         m = np.ones(batch.num_rows, dtype=bool)
         for pred in self.predicates:
-            m &= pred_mask(batch, pred, self.tags_column)
+            m &= pred_mask(batch, pred)
         keep = m if self.mode == "keep" else ~m
         return batch.filter(pa.array(keep))
 
@@ -117,18 +115,6 @@ class JsonParseStage:
                 arr = pc.cast(arr, _CAST[typ])
             batch = set_column(batch, self.prefix + k, arr)
         return batch
-
-
-def to_json_lines(batch: pa.Table, drop_columns: list[str] | None = None) -> pa.Table:
-    """Marshal rows to flat JSON strings (the reference's output-side codec).
-
-    Returns a one-column table ``json:string``; used by JSON sinks.
-    """
-    t = batch.drop_columns(drop_columns) if drop_columns else batch
-    lines = [
-        json.dumps(row, default=str, separators=(",", ":")) for row in t.to_pylist()
-    ]
-    return pa.table({"json": pa.array(lines, type=pa.string())})
 
 
 def multiline_join(ds, *, key: str, order: str, text_field: str = "text",

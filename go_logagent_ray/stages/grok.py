@@ -147,9 +147,8 @@ class GrokParser:
         failed = np.zeros(n, dtype=bool)
         failed[slice(None) if left is None else left] = True
         tags = batch[self.tags_column] if self.tags_column in batch.column_names else None
-        return set_column(
-            batch, self.tags_column, append_tag(tags, failed, self.tag_on_failure, n)
-        )
+        failure = pc.if_else(pa.array(failed), self.tag_on_failure, pa.scalar(None, pa.string()))
+        return set_column(batch, self.tags_column, append_tag(tags, failure))
 
     def _py_extract(self, col: pa.Array, cg: CompiledGrok) -> pa.StructArray:
         """Python ``re`` fallback for patterns RE2 rejects (rare path)."""

@@ -111,8 +111,7 @@ class PatchStage:
                 batch = set_column(batch, op[1], pc.cast(col, _CAST[op[2]]))
             elif kind == "add_tag":
                 tags = batch["tags"] if "tags" in batch.column_names else None
-                mask = np.ones(n, dtype=bool)
-                batch = set_column(batch, "tags", append_tag(tags, mask, op[1], n))
+                batch = set_column(batch, "tags", append_tag(tags, pa.repeat(op[1], n)))
             elif kind == "remove_tag":
                 if "tags" in batch.column_names:
                     batch = set_column(batch, "tags", remove_tag(batch["tags"], op[1]))

@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.arrow_utils import set_column
+from .filters import pred_mask
 
 
 class RouteStage:
@@ -33,29 +34,19 @@ class RouteStage:
         tags_column: str = "tags",
     ):
         self.rules = rules
-        self.default_sink = default_sink
+        self.sinks = pa.array([sink for sink, _ in rules] + [default_sink], type=pa.string())
         self.tags_column = tags_column
 
-    def _pred_mask(self, batch: pa.Table, pred: tuple) -> np.ndarray:
-        # shared predicate mini-language — one evaluator for router AND
-        # drop filter (lt/gt/match included); import here to avoid a
-        # module cycle at import time
-        from .filters import pred_mask
-
-        return pred_mask(batch, pred, tags_column=self.tags_column)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        route = np.full(n, self.default_sink, dtype=object)
-        unclaimed = np.ones(n, dtype=bool)
-        for sink, preds in self.rules:
-            m = np.ones(n, dtype=bool)
-            for pred in preds:
-                m &= self._pred_mask(batch, pred)
-            m &= unclaimed
-            route[m] = sink
-            unclaimed &= ~m
-        return set_column(batch, "route", pa.array(route, type=pa.string()))
+        # each row's first matching rule; the default sink's index otherwise.
+        # Rules are applied last to first so that the first match stays.
+        rule = np.full(batch.num_rows, len(self.rules), dtype=np.int32)
+        for r in reversed(range(len(self.rules))):
+            m = np.ones(batch.num_rows, dtype=bool)
+            for pred in self.rules[r][1]:
+                m &= pred_mask(batch, pred, tags_column=self.tags_column)
+            rule[m] = r
+        return set_column(batch, "route", self.sinks.take(pa.array(rule)))
 
 
 def split_to_sink(batch: pa.Table, sink: str) -> pa.Table:

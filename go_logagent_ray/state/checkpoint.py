@@ -29,18 +29,22 @@ Design (SURVEY.md §4.3):
   new waves. Idempotent: commits are atomic, partitions deterministic.
   Before any wave starts, every pid that is not a valid commit under the
   current config and lineage (including pids past the current plan, left
-  by a run with smaller partitions) loses its manifest and sink data.
+  by a run with smaller partitions) loses its manifest and sink data, and
+  every killed wave's staging directory and half-written manifest goes.
 
-Scale note: each wave spreads its fragments over the whole cluster, and
-the overlap only hides one wave's driver-side work (planning, executor
-start and stop, rename, manifest) behind the other's tasks. It is two,
-not one per CPU slot: each in-flight wave runs its own Ray Data executor
-that budgets CPUs and object-store memory as if it had the cluster to
-itself, and a per-slot bound would also scale the redo after a kill with
-the cluster. On a multi-node cluster a wave should hold enough fragments
-to keep the cluster busy (``rows_per_partition`` ≈ throughput × minutes
-of work); waves bound both checkpoint granularity and the recomputation
-after a kill.
+Scale note: each wave runs as ONE Ray task. Ray fuses the fragment
+reader with the chain and the write, and bundles the 1-row spec blocks
+up to the chain's ``batch_size`` (16,384) counting spec rows, so no
+partition's fragments split over tasks, and a run keeps at most two CPUs
+busy on any cluster. The overlap only hides one wave's driver-side work
+(planning, executor start and stop, rename, manifest) behind the other's
+task. The bound is two, not one per CPU slot: each in-flight wave runs
+its own Ray Data executor that budgets CPUs and object-store memory as
+if it had the cluster to itself, and a per-slot bound would also scale
+the redo after a kill with the cluster. ROADMAP direction F (one
+streaming Dataset per call, one task per partition) is the planned mend.
+Waves bound both checkpoint granularity and the recomputation after a
+kill.
 """
 
 from __future__ import annotations
@@ -118,8 +122,10 @@ def config_hash(spec) -> str:
     ).hexdigest()[:16]
 
 
-# ``part-<pid>`` (a sink's data) or ``part-<pid>.json`` (its manifest).
-_PART_RE = re.compile(r"part-(\d+)(?:\.json)?")
+# A pid's files: ``part-<pid>`` (a sink's data), ``part-<pid>.json`` (its
+# manifest), and what a killed wave leaves: ``.tmp-part-<pid>`` (its
+# staging) and ``part-<pid>.json.tmp`` (a manifest being written).
+_PART_RE = re.compile(r"(\.tmp-)?part-(\d+)(\.json)?(\.tmp)?")
 
 
 def _manifest_dir(out_dir: str) -> str:
@@ -143,8 +149,9 @@ def committed_partitions(out_dir: str, cfg_hash: str) -> dict[int, dict]:
 
 
 def _drop_partitions_except(out_dir: str, keep: set[int]) -> None:
-    """Delete the manifest, then each sink's data, of every pid not in
-    ``keep`` (the valid commits).
+    """Delete every killed wave's leftovers (staging, manifest tmp files),
+    then the manifest and each sink's data of every pid not in ``keep``
+    (the valid commits). No wave may be running.
 
     An earlier run under another config, lineage or plan leaves pids that
     are either recomputed or past the new plan; their old rows would
@@ -153,16 +160,21 @@ def _drop_partitions_except(out_dir: str, keep: set[int]) -> None:
     staging, each directory in it is a sink."""
     for name in sorted(os.listdir(out_dir), key=lambda d: d != "_manifest"):
         sub = os.path.join(out_dir, name)
-        if name.startswith(".") or not os.path.isdir(sub):
-            continue  # a wave's staging, not a sink
-        for entry in os.listdir(sub):
-            m = _PART_RE.fullmatch(entry)
-            if m and int(m.group(1)) not in keep:
-                path = os.path.join(sub, entry)
-                if os.path.isdir(path):
-                    shutil.rmtree(path)
-                else:
-                    os.remove(path)
+        m = _PART_RE.fullmatch(name)
+        if m and m.group(1):
+            _remove(sub)
+        elif os.path.isdir(sub) and not name.startswith("."):
+            for entry in os.listdir(sub):
+                m = _PART_RE.fullmatch(entry)
+                if m and (m.group(4) or int(m.group(2)) not in keep):
+                    _remove(os.path.join(sub, entry))
+
+
+def _remove(path: str) -> None:
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    else:
+        os.remove(path)
 
 
 def _atomic_write_json(path: str, obj) -> None:
@@ -177,8 +189,8 @@ def _atomic_write_json(path: str, obj) -> None:
 def _read_fragments_batch(batch: pa.Table):
     """Generator map_batches body: spec rows in → row-group tables out.
 
-    Runs as parallel Ray tasks (one per spec block); each task streams its
-    row groups so a fragment never needs to fit in memory twice.
+    A wave's spec rows all land in one task (see the scale note), which
+    streams its row groups so a fragment never needs to fit in memory twice.
     """
     for row in batch.to_pylist():
         pf = pq.ParquetFile(row["file"])
@@ -187,7 +199,8 @@ def _read_fragments_batch(batch: pa.Table):
 
 
 def fragments_dataset(frags: list[Fragment]):
-    """A Dataset of the fragments' rows, read in parallel by row group."""
+    """A Dataset of the fragments' rows, one 1-row spec block per
+    fragment; fused with the chain, it runs as one task (see the scale note)."""
     import ray.data as rd
 
     specs = [asdict(f) for f in frags]
@@ -292,9 +305,7 @@ def _run_waves(todo, out_dir: str, transform, cfg: str) -> list[dict]:
 
 def _run_wave(pid: int, part: list, routed, out_dir: str, cfg: str) -> dict:
     """One wave: staged write → atomic rename per sink → manifest."""
-    staging = os.path.join(out_dir, f".tmp-part-{pid}")
-    if os.path.isdir(staging):
-        shutil.rmtree(staging)  # leftover from a killed run — safe to redo
+    staging = os.path.join(out_dir, f".tmp-part-{pid}")  # cleaned up front
     sink = RouteSink(staging)
     routed.write_datasink(sink)
     schema_hash = "" if sink.schema is None else hashlib.sha256(

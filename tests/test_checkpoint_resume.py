@@ -92,6 +92,24 @@ def test_leftover_staging_is_cleaned(ray_session, transcripts_parquet, tmp_path)
     assert not glob.glob(os.path.join(out, ".tmp-*"))
 
 
+def test_killed_wave_leftovers_past_plan_are_cleaned(
+        ray_session, transcripts_parquet, tmp_path):
+    """A kill can leave a wave's staging dir and a half-written manifest;
+    the up-front cleanup removes both, also for pids past a smaller plan."""
+    out = str(tmp_path / "ck_leftovers")
+    os.makedirs(os.path.join(out, ".tmp-part-3", "route=chat"))
+    os.makedirs(os.path.join(out, "_manifest"))
+    for pid in (0, 3):
+        with open(os.path.join(out, "_manifest", f"part-{pid}.json.tmp"), "w") as f:
+            f.write('{"part_id": ')
+    r = run_checkpointed([transcripts_parquet], out, _transform, SPEC,
+                         rows_per_partition=10**9)
+    assert r["committed"] == 1 and r["remaining"] == 0
+    assert not glob.glob(os.path.join(out, ".tmp-*"))
+    assert os.listdir(os.path.join(out, "_manifest")) == ["part-0.json"]
+    _assert_manifests_match_files(out)
+
+
 def _sorted_copies(src: str, tmp_path) -> tuple[str, str]:
     """Two copies of ``src`` in one directory; the first sorts first, so
     adding it to a run of the second shifts every partition id."""

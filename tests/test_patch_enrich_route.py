@@ -28,17 +28,43 @@ def _batch():
 
 # ---- arrow_utils list kernels ----
 
+def _where(mask, tag: str) -> pa.Array:
+    """The per-row tag values that append ``tag`` where ``mask`` holds."""
+    return pa.array([tag if m else None for m in mask], type=pa.string())
+
+
 def test_append_tag_fresh_and_merge():
-    tags = append_tag(None, np.array([True, False, True]), "a", 3)
+    tags = append_tag(None, _where([True, False, True], "a"))
     assert tags.to_pylist() == [["a"], [], ["a"]]
-    tags2 = append_tag(tags, np.array([False, True, True]), "b", 3)
+    tags2 = append_tag(tags, _where([False, True, True], "b"))
     assert tags2.to_pylist() == [["a"], ["b"], ["a", "b"]]
+
+
+def test_append_tag_per_row_values():
+    base = pa.array([["x"], [], None, ["y", "z"]], type=pa.list_(pa.string()))
+    out = append_tag(base, pa.array(["p", None, "q", "r"]))
+    assert out.to_pylist() == [["x", "p"], [], ["q"], ["y", "z", "r"]]
+    assert append_tag(None, pa.array([], type=pa.string())).to_pylist() == []
 
 
 def test_append_tag_null_lists_become_empty():
     base = pa.array([["x"], None, []], type=pa.list_(pa.string()))
-    out = append_tag(base, np.array([False, True, False]), "t", 3)
+    out = append_tag(base, _where([False, True, False], "t"))
     assert out.to_pylist() == [["x"], ["t"], []]
+
+
+def test_tag_helpers_on_null_slot_spanning_values():
+    """Arrow lets a null list slot's offsets span values; every helper
+    must read that slot as an empty list, not as the values it spans."""
+    arr = pa.ListArray.from_arrays([0, 1, 3, 3], ["x", "y", "z"],
+                                   mask=pa.array([False, True, False]))
+    assert arr.to_pylist() == [["x"], None, []]
+    assert has_tag(arr, "y").tolist() == [False, False, False]
+    assert remove_tag(arr, "x").to_pylist() == [[], [], []]
+    assert append_tag(arr, _where([False, True, False], "t")).to_pylist() \
+        == [["x"], ["t"], []]
+    chunked = pa.chunked_array([arr.slice(0, 2), arr.slice(2)])
+    assert has_tag(chunked, "y").tolist() == [False, False, False]
 
 
 def test_remove_and_has_tag():
@@ -159,7 +185,7 @@ def test_append_tag_property(base_lists, data):
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(base_lists),
                                        max_size=len(base_lists))))
     base = pa.array(base_lists, type=pa.list_(pa.string()))
-    out = append_tag(base, mask, "T", len(base_lists)).to_pylist()
+    out = append_tag(base, _where(mask, "T")).to_pylist()
     exp = [(lst or []) + (["T"] if m else []) for lst, m in zip(base_lists, mask)]
     assert out == exp
 
@@ -180,7 +206,7 @@ def test_append_tag_on_sliced_array(base_lists):
     base = pa.array(base_lists + [["x"]], type=pa.list_(pa.string()))
     sliced = base.slice(0, len(base_lists))
     mask = np.ones(len(base_lists), dtype=bool)
-    out = append_tag(sliced, mask, "T", len(base_lists)).to_pylist()
+    out = append_tag(sliced, _where(mask, "T")).to_pylist()
     exp = [(lst or []) + ["T"] for lst in base_lists]
     assert out == exp
 

@@ -279,3 +279,61 @@ def test_null_route_is_rejected(ray_session, transcripts_parquet, tmp_path):
         run_checkpointed([transcripts_parquet], out, _unroute,
                          {"test": "null route"}, rows_per_partition=10_000)
     assert not glob.glob(os.path.join(out, "_manifest", "*.json"))
+
+
+# ---- the four flagship stages in process vs the row oracle ----
+
+from datetime import datetime
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+_word = st.text(alphabet="abcxyz_019éß", min_size=1, max_size=6)
+_maybe = lambda known: st.one_of(st.none(), st.sampled_from(known), _word)  # noqa: E731
+_level = st.sampled_from(["INFO", "WARN", "ERROR", "DEBUG", "info", "NOTE"])
+_text = st.one_of(
+    st.none(),
+    st.just(""),
+    st.builds("{} {} {}latency_ms={} status={}".format, _level, _word,
+              st.sampled_from(["", "x ", "a = b "]), st.integers(0, 10**6),
+              st.one_of(st.sampled_from(["ok", "err", "timeout"]), _word)),
+    st.builds("{} tool_call tool={} args_bytes={}".format, _level, _word,
+              st.integers(0, 10**6)),
+    st.text(alphabet="abc =_:ERORtoluclsy0123é", max_size=30),
+)
+_row = st.fixed_dictionaries({
+    "role": _maybe(["system", "user", "assistant", "tool"]),
+    "tool": _maybe(["", "bash", "search", "editor", "browser"]),
+    "text": _text,
+    "ts": st.one_of(st.none(), st.datetimes(datetime(2024, 1, 1),
+                                            datetime(2024, 12, 31))),
+})
+_COMPARED = ["tags", "agent_kind", "route", "ts_hour", "lvl", "component",
+             "latency_ms", "status", "tool_name", "args_bytes"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_row, max_size=30), st.integers(0, 30))
+def test_flagship_stages_match_oracle_rows(rows, cut):
+    """``FLAGSHIP_SPEC``'s four stages, called in process on a two-chunk
+    batch, give each row the oracle's tags, enrich, route and captures,
+    also for null or unknown keys, unparsed or non-ASCII text and a null
+    ``ts``."""
+    from go_logagent_ray.fixtures import TRANSCRIPT_SCHEMA
+    from go_logagent_ray.oracle import run_oracle
+    from go_logagent_ray.pipelines.transcript import FLAGSHIP_SPEC
+    from go_logagent_ray.stages.enrich import LookupEnrich
+    from go_logagent_ray.stages.grok import GrokParser
+    from go_logagent_ray.stages.patch import PatchStage
+    from go_logagent_ray.stages.route import RouteStage
+
+    rows = [dict(r, conv_id="c", turn_idx=i) for i, r in enumerate(rows)]
+    table = pa.Table.from_pylist(rows, schema=TRANSCRIPT_SCHEMA)
+    cut = min(cut, len(rows))
+    batch = pa.concat_tables([table.slice(0, cut), table.slice(cut)])
+    for name, cls in (("grok", GrokParser), ("patch", PatchStage),
+                      ("enrich", LookupEnrich), ("route", RouteStage)):
+        batch = cls(**FLAGSHIP_SPEC[name])(batch)
+    got = batch.select(_COMPARED).to_pylist()
+    want = [{k: r[k] for k in _COMPARED} for r in run_oracle(table)["rows"]]
+    assert got == want
