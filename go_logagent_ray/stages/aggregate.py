@@ -6,68 +6,82 @@ conv_id (BASELINE.json:L6; SURVEY.md §2.5 A1).
 
 Scale design: a bare ``groupby(keys).count()`` shuffles every row. Every
 aggregate here first reduces each batch to one row per distinct key
-INSIDE ``map_batches`` (Arrow C++ hash aggregation), so only partials —
-bounded by #blocks × per-block key cardinality — move between stages.
+INSIDE ``map_batches`` (``_partial``, Arrow C++ hash aggregation), so
+only partials — bounded by #blocks × per-block key cardinality — leave
+the tasks.
 
 Two final-reduce modes:
 
-- ``mode="tree"`` (default): partials → per-block combine → coalesce to
-  one block (materialize barrier: streaming repartition fuses with the
-  next map, so without the barrier the final combine would run per
-  bundle, not per coalesced block — verified) → one exact combine.
-  No shuffle at all. Correct whenever the FINAL result fits one block
-  (aggregate cardinality ≤ ~10M rows) — true for sink/hour/route counts
-  even at 10^12 turns.
-- ``mode="shuffle"``: Ray's groupby shuffle. Needed when result
-  cardinality itself is huge (e.g. per-conv counts over 10^9
-  conversations). Costs a full sort-shuffle with ~10 s fixed overhead in
-  this Ray version — measured; amortizes at real scale.
+- ``mode="tree"`` (default): the driver streams the partial blocks and
+  merges them by key (see ``_tree_reduce``): no shuffle, no barrier,
+  memory about twice the result plus one block. Correct whenever the
+  FINAL result fits the driver (aggregate cardinality ≤ ~10M rows) —
+  true for sink/hour/route counts even at 10^12 turns.
+- ``mode="shuffle"``: Ray's groupby shuffle, for results too large for
+  the driver (per-doc counts in ``bpe.py``, per-node sums in
+  ``pagerank.py``). Costs a full sort-shuffle with ~10 s fixed overhead
+  in this Ray version — measured; amortizes at real scale.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+import ray.data
 from ray.data import Dataset
 from ray.data.aggregate import Sum
 
 
-def _rename(part: pa.Table, keys: list[str], alias: str) -> pa.Table:
-    # Select by NAME before renaming: pyarrow group_by().aggregate()
-    # column ORDER (keys-first vs aggregates-first) has differed across
-    # pyarrow releases, so a positional rename could silently swap the
-    # key and value columns under a version change.
-    agg = [c for c in part.column_names if c not in keys]
-    if len(agg) != 1:
-        raise ValueError(f"expected one aggregate column, got {agg}")
-    return part.select(keys + agg).rename_columns(keys + [alias])
+def _partial(batch: pa.Table, keys: list[str], alias: str,
+             value: str | None = None) -> pa.Table:
+    """One row per distinct key of ``batch``, columns ``keys + [alias]``:
+    the row count, or the sum of ``value`` when given."""
+    if value is None:
+        part = batch.select(keys).group_by(keys).aggregate([([], "count_all")])
+        out = "count_all"
+    else:
+        part = batch.select(keys + [value]).group_by(keys) \
+            .aggregate([(value, "sum")])
+        out = f"{value}_sum"
+    # by NAME: the aggregate column's position has moved across pyarrow releases
+    return part.select(keys + [out]).rename_columns(keys + [alias])
 
 
 def _tree_reduce(partials: Dataset, keys: list[str], alias: str,
-                 mode: str, fanout: int = 16) -> Dataset:
-    """Reduce partial tables (keys + alias sum column) to exact totals.
+                 mode: str, seed: pa.Table | None = None) -> Dataset:
+    """Reduce partial tables (``keys + [alias]``), starting from the
+    partial ``seed`` if given, to exact totals; an all-null group sums to
+    null, as in SQL.
 
-    The combine groups with polars, not ``pa.Table.group_by``: pyarrow
+    Tree mode merges with polars, not ``pa.Table.group_by``: pyarrow
     16.1's multi-key grouper splits a null fixed-width key (e.g. an
-    all-null int64 or timestamp column) into many groups, which would
-    leave one key in several output rows."""
-    import polars as pl
-
-    def combine(batch: pa.Table) -> pa.Table:
-        schema = batch.select(keys + [alias]).schema
-        out = pl.from_arrow(batch).group_by(keys).agg(pl.col(alias).sum())
-        return out.to_arrow().select(keys + [alias]).cast(schema)
-
+    all-null int64 or timestamp column) into many groups."""
     if mode == "shuffle":
+        if seed is not None:
+            partials = partials.union(ray.data.from_arrow(seed))
         return partials.materialize().groupby(keys) \
             .aggregate(Sum(alias, alias_name=alias))
     if mode != "tree":
         raise ValueError(f"unknown aggregate mode {mode!r}")
-    # per-bundle combine (fusion makes this a partial combine — fine),
-    # then the exact final combine over ONE coalesced block
-    lvl1 = partials.repartition(fanout).map_batches(
-        combine, batch_format="pyarrow", batch_size=None)
-    return lvl1.repartition(1).materialize().map_batches(
-        combine, batch_format="pyarrow", batch_size=None)
+    import polars as pl
+
+    total = pl.when(pl.col(alias).count() > 0).then(pl.col(alias).sum())
+
+    def merge(tables: list[pa.Table]) -> list[pa.Table]:
+        t = pa.concat_tables(tables, promote_options="default")
+        out = pl.from_arrow(t).group_by(keys).agg(total.alias(alias))
+        return [out.to_arrow().select(keys + [alias]).cast(t.schema)]
+
+    # Fold the pending blocks into the result (zero tables or one) once they
+    # outnumber its rows: merge work stays linear in the partial rows.
+    result, pending, pending_rows = [] if seed is None else [seed], [], 0
+    for block in partials.iter_batches(batch_format="pyarrow",
+                                       batch_size=None):
+        pending.append(block)
+        pending_rows += block.num_rows
+        if pending_rows > sum(map(len, result)):
+            result, pending, pending_rows = merge(result + pending), [], 0
+    tables = result + pending  # none when the input had no rows
+    return ray.data.from_arrow(merge(tables)[0] if tables else pa.table({}))
 
 
 def counts_by(ds: Dataset, keys: list[str], alias: str = "n",
@@ -75,8 +89,7 @@ def counts_by(ds: Dataset, keys: list[str], alias: str = "n",
     """Exact grouped row counts; columns ``keys + [alias]`` (name the SQL
     oracle column identically: ``COUNT(*) AS n``)."""
     def partial(batch: pa.Table) -> pa.Table:
-        part = batch.select(keys).group_by(keys).aggregate([([], "count_all")])
-        return _rename(part, keys, alias)
+        return _partial(batch, keys, alias)
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     return _tree_reduce(partials, keys, alias, mode)
@@ -84,10 +97,10 @@ def counts_by(ds: Dataset, keys: list[str], alias: str = "n",
 
 def grouped_sum(ds: Dataset, keys: list[str], value: str, alias: str,
                 mode: str = "tree") -> Dataset:
-    """Exact grouped sum with per-batch partial aggregation."""
+    """Exact grouped sum with per-batch partial aggregation; a group whose
+    ``value`` is null on every row sums to null, as SQL's SUM does."""
     def partial(batch: pa.Table) -> pa.Table:
-        part = batch.select(keys + [value]).group_by(keys).aggregate([(value, "sum")])
-        return _rename(part, keys, alias)
+        return _partial(batch, keys, alias, value)
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     return _tree_reduce(partials, keys, alias, mode)
@@ -99,7 +112,7 @@ def fused_counts(ds: Dataset, key_sets: dict[str, list[str]], alias: str = "n",
 
     Each batch emits one partial-count table per key set, tagged
     ``_agg = name`` and null-padded to the union of key columns (the
-    final combine groups nulls as one value — see ``_tree_reduce``); one
+    merge groups nulls as one value — see ``_tree_reduce``); one
     reduce finishes all views. Filter the result on ``_agg`` to split views. At 100 TB this
     halves the number of full passes when a pipeline needs multiple
     aggregate views of one stream.
@@ -113,17 +126,14 @@ def fused_counts(ds: Dataset, key_sets: dict[str, list[str]], alias: str = "n",
     def partial(batch: pa.Table) -> pa.Table:
         pieces = []
         for name, keys in key_sets.items():
-            part = batch.select(keys).group_by(keys).aggregate([([], "count_all")])
-            part = _rename(part, keys, alias)
-            arrays: list = [pa.array([name] * part.num_rows, type=pa.string())]
-            names = ["_agg"]
+            part = _partial(batch, keys, alias)
+            n = part.num_rows
+            cols = {"_agg": pa.array([name] * n, type=pa.string())}
             for k in all_keys:
-                names.append(k)
-                arrays.append(part[k] if k in keys
-                              else pa.nulls(part.num_rows, batch.schema.field(k).type))
-            names.append(alias)
-            arrays.append(part[alias])
-            pieces.append(pa.table(dict(zip(names, arrays))))
+                cols[k] = (part[k] if k in keys
+                           else pa.nulls(n, batch.schema.field(k).type))
+            cols[alias] = part[alias]
+            pieces.append(pa.table(cols))
         return pa.concat_tables(pieces)
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -219,10 +229,8 @@ def grouping_sets_counts(ds: Dataset, keys: list[str],
     NULL`` + ``COALESCE`` in the oracle). If the empty set (grand
     total) is requested, its row is emitted even for empty input
     (count 0 — SQL's documented behavior, verified in DuckDB) via a
-    seed partial unioned into the reduce.
+    seed partial that starts the reduce.
     """
-    import ray
-
     if not keys:
         raise ValueError("grouping_sets_counts needs at least one key")
     if sentinels is None or set(sentinels) != set(keys):
@@ -238,44 +246,30 @@ def grouping_sets_counts(ds: Dataset, keys: list[str],
     sent_arrays = {k: (sentinels[k], pa.scalar(sentinels[k]).type)
                    for k in keys}
 
-    def _padded(g: pa.Table, kept: list[str], counts) -> pa.Table:
-        cols = {}
-        for k in keys:
-            v, t = sent_arrays[k]
-            if k in kept:
-                cols[k] = g[k].cast(t)
-            else:
-                cols[k] = pa.array([v] * len(counts), t)
-        cols[alias] = counts
-        return pa.table(cols)
+    def _padded(g: pa.Table, kept: list[str]) -> pa.Table:
+        cols = {k: g[k].cast(t) if k in kept else pa.array([v] * len(g), t)
+                for k, (v, t) in sent_arrays.items()}
+        return pa.table({**cols, alias: g[alias]})
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.select(keys).drop_null()
         # one full-batch hash aggregation; every requested set
         # re-aggregates this key-bounded result, never the raw batch
-        g = _rename(t.group_by(keys).aggregate([([], "count_all")]),
-                    keys, alias)
+        g = _partial(t, keys, alias)
         out = []
         for kept in norm:
             if kept == keys:
-                out.append(_padded(g, keys, g[alias]))
+                out.append(_padded(g, keys))
             elif kept:
-                lv = _rename(g.group_by(kept).aggregate([(alias, "sum")]),
-                             kept, alias)
-                out.append(_padded(lv, kept, lv[alias]))
+                out.append(_padded(_partial(g, kept, alias, alias), kept))
             else:
-                out.append(_padded(None, [], pa.array([t.num_rows],
-                                                      pa.int64())))
+                out.append(_padded(pa.table({alias: [t.num_rows]}), []))
         return pa.concat_tables(out)
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            batch_size=None)
-    if [] in norm:
-        seed_cols = {k: pa.array([v], t)
-                     for k, (v, t) in sent_arrays.items()}
-        seed_cols[alias] = pa.array([0], pa.int64())
-        parts = parts.union(ray.data.from_arrow(pa.table(seed_cols)))
-    return _tree_reduce(parts, keys, alias, mode)
+    seed = _padded(pa.table({alias: [0]}), []) if [] in norm else None
+    return _tree_reduce(parts, keys, alias, mode, seed)
 
 
 def rollup_counts(ds: Dataset, keys: list[str], alias: str = "n", *,

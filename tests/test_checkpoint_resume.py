@@ -431,6 +431,72 @@ def test_valid_commit_past_cut_survives(
     assert dict(r3["total_counts"]) == expected
 
 
+def _sink_rows(out: str) -> dict[str, list[tuple]]:
+    """sink -> sorted (conv_id, turn_idx) of every committed row."""
+    rows: dict[str, list[tuple]] = {}
+    for f in glob.glob(os.path.join(out, "*", "part-*", "*.parquet")):
+        sink = os.path.basename(os.path.dirname(os.path.dirname(f)))
+        t = pq.read_table(f, columns=["conv_id", "turn_idx"])
+        rows.setdefault(sink, []).extend(
+            zip(t["conv_id"].to_pylist(), t["turn_idx"].to_pylist()))
+    return {s: sorted(r) for s, r in rows.items()}
+
+
+def test_sigkilled_cli_run_resumes_to_oracle(
+        ray_session, transcripts_parquet, tmp_path, oracle_result):
+    """A real kill: ``flagship --checkpoint`` runs as a child driver on this
+    session's cluster and gets SIGKILL once its first manifest appears. A
+    resume in this process then ends with sinks equal to the oracle and
+    manifests equal to the files; it rewrites no manifest it found and
+    leaves no staging, whatever the kill timing."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    from go_logagent_ray.pipelines.transcript import (FLAGSHIP_SPEC,
+                                                      parse_enrich_route)
+
+    out = str(tmp_path / "ck_kill")
+    manifests = os.path.join(out, "_manifest", "part-*.json")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ,
+               RAY_ADDRESS=ray_session.get_runtime_context().gcs_address)
+    log = tmp_path / "child.log"
+    with open(log, "w") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "go_logagent_ray.cli", "flagship",
+             "--checkpoint", "--rows-per-partition", "128",
+             "--input", transcripts_parquet, "--out", out],
+            cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        deadline = time.monotonic() + 120
+        try:
+            while not glob.glob(manifests):
+                assert child.poll() is None, log.read_text()[-3000:]
+                assert time.monotonic() < deadline, "no manifest in 120 s"
+                time.sleep(0.01)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+
+    def stamp(path):
+        with open(path) as f:
+            return os.path.getmtime(path), f.read()
+
+    before = {p: stamp(p) for p in glob.glob(manifests)}
+
+    r = run_checkpointed([transcripts_parquet], out, parse_enrich_route,
+                         FLAGSHIP_SPEC, rows_per_partition=128)
+    assert r["skipped"] == len(before) and r["remaining"] == 0
+    for p, was in before.items():
+        assert stamp(p) == was
+    _assert_manifests_match_files(out, FLAGSHIP_SPEC)
+    assert not glob.glob(os.path.join(out, ".tmp-part-*"))
+    want = {s: sorted((row["conv_id"], row["turn_idx"]) for row in rows)
+            for s, rows in oracle_result["sinks"].items() if rows}
+    assert _sink_rows(out) == want
+
+
 def test_flagship_spec_names_every_stage_constant():
     """``FLAGSHIP_SPEC`` holds every constructor argument of the flagship
     chain (``parse_enrich_route`` builds the stages from it alone), so
