@@ -61,7 +61,7 @@ class IncrementalRunner:
         from .transcript import parse_enrich_route, write_sinks
 
         chunk_dir = os.path.join(self.out_dir, f"chunk-{self.chunk_idx:06d}")
-        merged = write_sinks(parse_enrich_route(ds, batch_size=None), chunk_dir)
+        merged = write_sinks(parse_enrich_route(ds), chunk_dir)
         rows = sum(merged.values())
         if rows == 0:
             return {"chunk": self.chunk_idx, "rows": 0, "groups_touched": 0}

@@ -4,18 +4,18 @@ sinks + aggregates (SURVEY.md §3.2).
 This is the Ray-Data re-expression of the reference's whole agent run
 (``main.go`` wiring input→filter chain→output fan-out, SURVEY.md §3.1):
 
-    read_transcripts(transcripts)                   # S1, 1 block/CPU
-      └ map_batches(GrokParser)                     # F1
-      └ map_batches(PatchStage)                     # F2/F3
-      └ map_batches(LookupEnrich broadcast dict)    # J1
+    read_transcripts(transcripts)                   # S1, 1 read task/CPU,
+      └ map_batches(GrokParser)                     # F1    all fused into
+      └ map_batches(PatchStage)                     # F2/F3   ONE task per
+      └ map_batches(LookupEnrich broadcast dict)    # J1      read task
       └ map_batches(RouteStage)                     # R1 route column
       └ write_datasink(RouteSink)                   # sinks, ONE pass, and
                                                     #   A1 counts by AGG_KEYS
 
 The four stages are instances (plain tasks) that ``parse_enrich_route``
-builds from ``FLAGSHIP_SPEC`` in one loop. The stage specs here mirror
-go_logagent_ray.oracle exactly — the oracle is the row-level reference the
-pipeline must equal.
+builds from ``FLAGSHIP_SPEC`` in one loop, on whole source blocks, so
+Ray fuses the read into their task (``ReadParquet->...->Write``). The
+stage specs mirror go_logagent_ray.oracle, the row-level reference.
 """
 
 from __future__ import annotations
@@ -123,12 +123,14 @@ class RouteSink(Datasink):
                 self.schema = schema
 
 
-def parse_enrich_route(ds: Dataset, *, batch_size: int | None = 16 * 1024) -> Dataset:
+def parse_enrich_route(ds: Dataset, *, batch_size: int | None = None) -> Dataset:
     """The full filter chain, built from ``FLAGSHIP_SPEC``; lazy — nothing
     executes until consumed. Each stage runs as an instance in plain tasks
     (the pickled ``GrokParser`` carries its expanded patterns); a config
     chain can still put a class stage in an actor pool with
-    ``concurrency``."""
+    ``concurrency``. At ``batch_size=None`` each stage gets the source's
+    blocks whole (memory bounded by the block size, not a row count), and
+    Ray fuses a read into the chain's task, which a set size prevents."""
     for name, stage in _STAGE_OF.items():
         ds = ds.map_batches(
             stage(**FLAGSHIP_SPEC[name]), batch_format="pyarrow",

@@ -10,14 +10,15 @@ the read-side scale hygiene:
   doesn't need),
 - one output block per CPU slot of the running session
   (``override_num_blocks``). Left to itself, Ray splits every file into
-  ~1 MiB blocks (``ReadParquet->SplitBlocks``); the filter chain's 16k-row
-  batches then glue them back into many small map+write tasks, each
-  writing one file per sink — fixed per-task and per-file cost that buys
-  no parallelism (1 CPU, 180k rows in 4 files: 11 tasks and 44 sink
-  files, against 1 task and 4 files planned per CPU). With fewer CPUs
-  than files Ray merges files into fewer streaming read tasks (blocks stay
-  capped at ``target_max_block_size`` inside each task); with more CPUs
-  than files it still splits, each file into ceil(CPUs / files) blocks.
+  ~1 MiB blocks (``ReadParquet->SplitBlocks``), and the filter chain runs
+  them as many small map+write tasks, each writing one file per sink —
+  fixed per-task and per-file cost that buys no parallelism (1 CPU, 180k
+  rows in 4 files: 36 tasks and 128 sink files, against 1 task and 4 files planned per
+  CPU). With fewer CPUs than files Ray merges files into fewer streaming
+  read tasks (blocks stay capped at ``target_max_block_size`` inside each
+  task), each fused with the chain and the write into one task; with more
+  CPUs than files it still splits, each file into ceil(CPUs / files)
+  blocks, and the split read stays an operator of its own.
 """
 
 from __future__ import annotations

@@ -32,11 +32,10 @@ Design (SURVEY.md §4.3):
   by a run with smaller partitions) loses its manifest and sink data, and
   every killed wave's staging directory and half-written manifest goes.
 
-Scale note: each wave runs as ONE Ray task. Ray fuses the fragment
-reader with the chain and the write, and bundles the 1-row spec blocks
-up to the chain's ``batch_size`` (16,384) counting spec rows, so no
-partition's fragments split over tasks, and a run keeps at most two CPUs
-busy on any cluster. The overlap only hides one wave's driver-side work
+Scale note: each wave runs as ONE Ray task. Its fragments' specs are one
+block, and Ray fuses the fragment reader with the chain and the write, so
+each stage sees the wave's rows in one batch, and a run keeps at most two
+CPUs busy on any cluster. The overlap only hides one wave's driver-side work
 (planning, executor start and stop, rename, manifest) behind the other's
 task. The bound is two, not one per CPU slot: each in-flight wave runs
 its own Ray Data executor that budgets CPUs and object-store memory as
@@ -57,6 +56,8 @@ import shutil
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -187,27 +188,23 @@ def _atomic_write_json(path: str, obj) -> None:
 
 
 def _read_fragments_batch(batch: pa.Table):
-    """Generator map_batches body: spec rows in → row-group tables out.
-
-    A wave's spec rows all land in one task (see the scale note), which
-    streams its row groups so a fragment never needs to fit in memory twice.
-    """
-    for row in batch.to_pylist():
-        pf = pq.ParquetFile(row["file"])
-        for rg in range(row["rg_start"], row["rg_end"]):
-            yield pf.read_row_group(rg)
+    """Generator map_batches body: a wave's spec rows in → row-group tables
+    out, one row group per yield, so a fragment never needs to fit in
+    memory twice. Consecutive rows of one file share one open file."""
+    for path, rows in groupby(batch.to_pylist(), key=itemgetter("file")):
+        with pq.ParquetFile(path) as pf:
+            for row in rows:
+                for rg in range(row["rg_start"], row["rg_end"]):
+                    yield pf.read_row_group(rg)
 
 
 def fragments_dataset(frags: list[Fragment]):
-    """A Dataset of the fragments' rows, one 1-row spec block per
-    fragment; fused with the chain, it runs as one task (see the scale note)."""
+    """A Dataset of the fragments' rows from ONE spec block, so the wave
+    runs as one task (see the scale note)."""
     import ray.data as rd
 
-    specs = [asdict(f) for f in frags]
-    ds = rd.from_items(specs, override_num_blocks=max(1, len(specs)))
-    return ds.map_batches(
-        _read_fragments_batch, batch_format="pyarrow", batch_size=1
-    )
+    ds = rd.from_items([asdict(f) for f in frags], override_num_blocks=1)
+    return ds.map_batches(_read_fragments_batch, batch_format="pyarrow")
 
 
 def run_checkpointed(

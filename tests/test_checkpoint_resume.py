@@ -313,6 +313,50 @@ def test_waves_in_flight_bounded(ray_session, transcripts_parquet, tmp_path,
     assert state["called"] == list(range(slots))
 
 
+def test_wave_is_one_task_and_one_batch(ray_session, tmp_path):
+    """A wave of many fragments, more rows than a 16k batch, starts from
+    one spec block and runs as one task, and a stage after the default
+    chain is called once with all the wave's rows. One spec block per
+    fragment would split the wave into a task (and a file per sink) per
+    fragment."""
+    from go_logagent_ray.fixtures import gen_transcripts
+    from go_logagent_ray.pipelines.transcript import parse_enrich_route
+
+    src = str(tmp_path / "wave.parquet")
+    pq.write_table(gen_transcripts(1250, 8, seed=7), src, row_group_size=2048)
+    log = str(tmp_path / "probe.log")
+
+    def probe(batch):
+        with open(log, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return batch
+
+    routed = []
+
+    def transform(ds):
+        routed.append(parse_enrich_route(ds).map_batches(
+            probe, batch_format="pyarrow"))
+        return routed[-1]
+
+    r = run_checkpointed([src], str(tmp_path / "out"), transform, SPEC,
+                         rows_per_partition=10**6, rgs_per_fragment=1)
+    (m,) = r["manifests"]
+    assert len(m["fragments"]) >= 4 and m["rows_in"] > 16 * 1024
+    with open(log) as f:
+        assert [int(n) for n in f.read().split()] == [m["rows_in"]]
+    (ds,) = routed
+    assert ds._plan.initial_num_blocks() == 1
+    summary, tasks = [ds._write_ds._get_stats_summary()], {}
+    while summary:
+        s = summary.pop()
+        summary.extend(s.parents)
+        tasks.update((o.operator_name, o.task_rows["count"])
+                     for o in s.operators_stats)
+    (chain,) = [name for name in tasks if name.endswith("->Write")]
+    assert chain.startswith("MapBatches(_read_fragments_batch)->")
+    assert tasks[chain] == 1
+
+
 def _route_some_extra(ds):
     """``_transform`` with every first turn routed to an ``extra`` sink."""
     import pyarrow.compute as pc

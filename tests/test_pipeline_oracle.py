@@ -47,7 +47,11 @@ def _sorted_rows(table: pa.Table):
 
 
 def test_sink_row_sets_and_text_equality(routed, oracle_result):
-    got = to_table(routed)  # ~1.1k rows — fine to materialize in test
+    _assert_rows_equal_oracle(to_table(routed), oracle_result)  # ~1.1k rows
+
+
+def _assert_rows_equal_oracle(got: pa.Table, oracle_result) -> None:
+    """Each sink's rows equal the oracle's, field by field."""
     assert got.num_rows == sum(len(v) for v in oracle_result["sinks"].values())
 
     for sink in SINKS:
@@ -121,6 +125,44 @@ def test_chain_plan_is_built_from_flagship_spec(ray_session, transcripts_small):
         assert (o._batch_size, o._batch_format, o._zero_copy_batch) \
             == (100, "pyarrow", True)
         assert pickle.dumps(o._fn) == pickle.dumps(w)
+
+
+@pytest.fixture(scope="module")
+def default_pass(ray_session, transcripts_small, tmp_path_factory):
+    """``write_sinks`` at the default batch size over four files of
+    64-row row groups (at most one read block per file at 4 CPUs)."""
+    from go_logagent_ray.pipelines.transcript import parse_enrich_route, write_sinks
+    from go_logagent_ray.sources.parquet import read_transcripts
+
+    root = tmp_path_factory.mktemp("default_pass")
+    files, step = [], -(-transcripts_small.num_rows // 4)
+    for i in range(4):
+        files.append(str(root / f"part-{i}.parquet"))
+        pq.write_table(transcripts_small.slice(i * step, step), files[-1],
+                       row_group_size=64)
+    routed = parse_enrich_route(read_transcripts(files))
+    write_sinks(routed, str(root / "out"))
+    return routed, str(root / "out")
+
+
+def test_default_batch_fuses_read_into_chain(default_pass):
+    """The read, the four stages and the write run as ONE operator."""
+    routed, _ = default_pass
+    summary, names = [routed._write_ds._get_stats_summary()], []
+    while summary:
+        s = summary.pop()
+        summary.extend(s.parents)
+        names += [o.operator_name for o in s.operators_stats]
+    assert len(names) == 1, names
+    assert names[0].startswith("ReadParquet->") and names[0].endswith("->Write")
+
+
+def test_default_batch_sinks_equal_oracle(default_pass, oracle_result):
+    import pyarrow.dataset as pds
+
+    _, out = default_pass
+    got = pds.dataset(out, format="parquet", partitioning="hive").to_table()
+    _assert_rows_equal_oracle(got, oracle_result)
 
 
 def test_config_grok_actor_pool_matches_tasks(ray_session, transcripts_parquet):
