@@ -13,12 +13,12 @@ the read-side scale hygiene:
   ~1 MiB blocks (``ReadParquet->SplitBlocks``), and the filter chain runs
   them as many small map+write tasks, each writing one file per sink —
   fixed per-task and per-file cost that buys no parallelism (1 CPU, 180k
-  rows in 4 files: 36 tasks and 128 sink files, against 1 task and 4 files planned per
-  CPU). With fewer CPUs than files Ray merges files into fewer streaming
-  read tasks (blocks stay capped at ``target_max_block_size`` inside each
-  task), each fused with the chain and the write into one task; with more
-  CPUs than files it still splits, each file into ceil(CPUs / files)
-  blocks, and the split read stays an operator of its own.
+  rows in 4 files: 36 tasks and 128 sink files, against 1 task and 4
+  files planned per CPU). With fewer CPUs than files Ray merges files
+  into fewer streaming read tasks (blocks capped at
+  ``target_max_block_size``), each fused with the chain and the write into
+  one task; with more CPUs than files it still splits, each file into
+  ceil(CPUs / files) blocks, and the split read stays its own operator.
 """
 
 from __future__ import annotations
