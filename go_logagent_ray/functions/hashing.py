@@ -71,16 +71,21 @@ def mix_shard_i64(ids: np.ndarray, n_shards: int) -> np.ndarray:
 def shard_series_i32(df: "pl.DataFrame", cols: list[str],
                      n_shards: int) -> "pl.Series":
     """int32 ``_shard`` series for a polars frame: ``hash(col) % n`` for
-    a single key column, ``hash(struct(cols)) % n`` for a composite key
-    — THE merge-shard convention shared by every hash-sharded merge
-    groupby (multiline codec, throttle, conversation rebuild). Null
-    keys hash to one defined value, so a null-key group stays together
+    a single key column, the per-column hashes mixed in column order
+    for a composite key — THE merge-shard convention shared by every
+    hash-sharded merge groupby (multiline codec, throttle, conversation
+    rebuild, the aggregate kernel's shuffle mode). Null keys hash to
+    one defined value whatever the column's dtype (a block whose key
+    column is all null may arrive as the Null dtype; a struct hash
+    would place its nulls apart), so a null-key group stays together
     on one shard (pinned by tests/test_shard_invariance.py). Fixes to
     the hashing/mod convention belong HERE, not at call sites; int-id
     co-groups use ``mix_shard_i64`` instead (both sides of a co-group
     must share one function)."""
-    expr = pl.col(cols[0]) if len(cols) == 1 else pl.struct(cols)
-    h = df.select(expr.hash(seed=0).alias("_h")).get_column("_h").to_numpy()
+    h = df.get_column(cols[0]).hash(seed=0).to_numpy()
+    for c in cols[1:]:
+        h = h * np.uint64(0x9E3779B97F4A7C15) \
+            ^ df.get_column(c).hash(seed=0).to_numpy()
     return pl.Series(
         "_shard", (h % np.uint64(max(1, int(n_shards)))).astype(np.int32))
 

@@ -267,10 +267,10 @@ def curate_stats_v2(sf_dir: str, *, neardup_threshold: float = 0.7,
 def _decontaminate_chunk_stats(d: Dataset) -> Dataset:
     """Shared curation tail: benchmark decontamination (grams built
     from the survivor set, broadcast once) → 32/24 word chunking →
-    per-doc chunk stats (partial + combine grouped sums)."""
+    per-doc chunk stats (one hash-sharded ``aggregate_by``)."""
     import ray
-    from ray.data.aggregate import Sum
 
+    from ..stages.aggregate import aggregate_by
     from ..stages.chunk import chunk_documents
     from ..stages.decontaminate import build_benchmark_grams
 
@@ -286,14 +286,6 @@ def _decontaminate_chunk_stats(d: Dataset) -> Dataset:
 
     c = d.map_batches(clean, batch_format="pyarrow", zero_copy_batch=True)
     ch = chunk_documents(c, size=32, stride=24)
-
-    def part(batch: pa.Table) -> pa.Table:
-        p = (batch.select(["doc_id", "n_words"]).group_by(["doc_id"])
-             .aggregate([("n_words", "sum"), ([], "count_all")]))
-        return p.select(["doc_id", "n_words_sum", "count_all"]) \
-            .rename_columns(["doc_id", "n_chunk_words", "n_chunks"])
-
-    parts = ch.map_batches(part, batch_format="pyarrow")
-    return (parts.groupby("doc_id")
-            .aggregate(Sum("n_chunks", alias_name="n_chunks"),
-                       Sum("n_chunk_words", alias_name="n_chunk_words")))
+    return aggregate_by(ch, ["doc_id"],
+                        {"n_chunks": None, "n_chunk_words": "n_words"},
+                        "shuffle")

@@ -18,7 +18,7 @@ import pyarrow.compute as pc
 
 from ..functions.arrow_utils import as_combined, set_column
 from ..functions.textstats import fingerprint, lang_id, token_stats
-from ..stages.aggregate import counts_by, grouped_sum
+from ..stages.aggregate import aggregate_by, counts_by, grouped_sum
 from ..stages.dedup import (
     charset_jaccard_pairs,
     distinct_count,
@@ -759,25 +759,11 @@ FROM s GROUP BY 1, 2
 
 def q_lineitem_agg(sf_dir: str):
     """A-family: multi-aggregate groupby with per-batch partials."""
-    from ray.data.aggregate import Sum, Count
-
     ds = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_extendedprice", "sum"), ([], "count_all")])
-        # rename by name, not position — pyarrow aggregate column order
-        # has varied across releases
-        return t.select(["l_returnflag", "l_linestatus", "l_quantity_sum",
-                         "l_extendedprice_sum", "count_all"]).rename_columns(
-            ["l_returnflag", "l_linestatus", "sum_qty", "sum_price", "n"])
-
-    out = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["l_returnflag", "l_linestatus"]) \
-        .aggregate(Sum("sum_qty", alias_name="sum_qty"),
-                   Sum("sum_price", alias_name="sum_price"),
-                   Sum("n", alias_name="n"))
+    out = aggregate_by(ds, ["l_returnflag", "l_linestatus"],
+                       {"sum_qty": "l_quantity",
+                        "sum_price": "l_extendedprice", "n": None}, "tree")
 
     def int_exact(batch: pa.Table) -> pa.Table:
         # floats never reach the driver's value-hash: quantities are
@@ -1094,7 +1080,6 @@ def q_tcp_source_counts(sf_dir: str):
     import time
 
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
 
     from ..sources.socketline import TcpLineSource
     from ..stages.grok import GrokParser
@@ -1120,8 +1105,8 @@ def q_tcp_source_counts(sf_dir: str):
     parsed = ds.map_batches(
         GrokParser("%{LOGLEVEL:level} %{WORD:msg} id=%{INT:id:int}"),
         batch_format="pyarrow")
-    return parsed.groupby("level").aggregate(
-        Sum("id", alias_name="sum_id"), Count(alias_name="n"))
+    return aggregate_by(parsed, ["level"], {"sum_id": "id", "n": None},
+                        "tree")
 
 
 SQL_TCP_SOURCE_COUNTS = (
@@ -1526,8 +1511,6 @@ def lm_bucket_docs(sf_dir: str, *, checkpoint_dir: str | None = None,
     simulates the kill right after that commit."""
     import os
 
-    from ray.data.aggregate import Sum
-
     from ..stages.lm import unigram_rank_score
 
     # the score constants AND the checkpoint config hash both derive
@@ -1566,14 +1549,7 @@ def lm_bucket_docs(sf_dir: str, *, checkpoint_dir: str | None = None,
     if fail_after_score:
         raise RuntimeError("simulated kill after the score commit")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        p = batch.select(["score_q"]).group_by(["score_q"]) \
-            .aggregate([([], "count_all")])
-        return p.select(["score_q", "count_all"]) \
-            .rename_columns(["score_q", "cnt"])
-
-    counts = scored.map_batches(partial, batch_format="pyarrow") \
-        .groupby("score_q").aggregate(Sum("cnt", alias_name="cnt"))
+    counts = counts_by(scored, ["score_q"], alias="cnt")
     vs, cs = [], []
     for b in counts.iter_batches(batch_format="pyarrow"):
         vs.append(b.column("score_q").to_numpy(zero_copy_only=False))
@@ -3164,20 +3140,11 @@ def q_quality_threshold_docs(sf_dir: str):
     the exact quantile_disc threshold (element at ceil(n·q)−1 of the
     sorted multiset, DuckDB's convention) is computed from the merged
     counts; pass 2 is a broadcast-scalar filter that streams."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(["n_chars"]).drop_null()
-        p = t.group_by(["n_chars"]).aggregate([([], "count_all")])
-        return p.select(["n_chars", "count_all"]) \
-            .rename_columns(["n_chars", "cnt"])
-
-    counts = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("n_chars").aggregate(Sum("cnt", alias_name="cnt"))
+    counts = counts_by(ds, ["n_chars"], alias="cnt")
     vs, cs = [], []
     for b in counts.iter_batches(batch_format="pyarrow"):
+        b = b.filter(pc.is_valid(b["n_chars"]))  # null n_chars has no rank
         vs.append(b.column("n_chars").to_numpy(zero_copy_only=False))
         cs.append(b.column("cnt").to_numpy(zero_copy_only=False))
     v = np.concatenate(vs) if vs else np.zeros(0, np.int64)

@@ -1,76 +1,84 @@
-"""Aggregate stage (A1/A2) — pre-aggregated counts, shuffle-light.
+"""Aggregate stage (A1/A2) — pre-aggregated counts and sums, one kernel.
 
 The reference has NO aggregations; the north_star mandates per-sink
 groupby-aggregate counts by (sink/route, role, tool, ts-hour) and per
 conv_id (BASELINE.json:L6; SURVEY.md §2.5 A1).
 
-Scale design: a bare ``groupby(keys).count()`` shuffles every row. Every
-aggregate here first reduces each batch to one row per distinct key
-INSIDE ``map_batches`` (``_partial``, Arrow C++ hash aggregation), so
-only partials — bounded by #blocks × per-block key cardinality — leave
-the tasks.
+One grouping kernel builds and merges every grouped count and sum in
+the library. A bare ``groupby(keys).count()`` shuffles every row, so
+``_partial`` first reduces each batch to one row per distinct key
+INSIDE ``map_batches`` (Arrow C++ hash aggregation), with any mix of
+row counts and column sums; only partials — bounded by #blocks ×
+per-block key cardinality — leave the tasks. ``_merge`` then sums
+partial tables by key with one polars group-by: null keys form one
+group each, and a group whose values are all null sums to null, as
+SQL's SUM does. ``aggregate_by`` is the entry point; ``counts_by`` and
+``grouped_sum`` are its one-output forms.
 
-Two final-reduce modes:
+Two places run the merge:
 
-- ``mode="tree"`` (default): the driver streams the partial blocks and
-  merges them by key (see ``_tree_reduce``): no shuffle, no barrier,
+- ``mode="tree"``: the driver streams the partial blocks and folds
+  them into the running result (``_fold``): no shuffle, no barrier,
   memory about twice the result plus one block. Correct whenever the
   FINAL result fits the driver (aggregate cardinality ≤ ~10M rows) —
   true for sink/hour/route counts even at 10^12 turns.
-- ``mode="shuffle"``: Ray's groupby shuffle, for results too large for
+- ``mode="shuffle"``: a hash-sharded merge, for results too large for
   the driver (per-doc counts in ``bpe.py``, per-node sums in
-  ``pagerank.py``). Costs a full sort-shuffle with ~10 s fixed overhead
-  in this Ray version — measured; amortizes at real scale.
+  ``pagerank.py``). Each partial row gets ``_shard`` = a hash of its
+  key tuple mod ``_SHARDS`` (``functions/hashing.py::shard_series_i32``),
+  one sort-shuffle ``groupby("_shard").map_groups`` hands each shard to
+  one task, and that task runs the same merge. The shard is a non-null
+  int32, so a null key shuffles like any other.
 """
 
 from __future__ import annotations
 
+import polars as pl
 import pyarrow as pa
 import ray.data
 from ray.data import Dataset
-from ray.data.aggregate import Sum
+
+from ..functions.hashing import shard_series_i32
+
+# merge shards of mode="shuffle": the merge's parallelism, and 1/_SHARDS
+# of the partial rows per merge call
+_SHARDS = 32
 
 
-def _partial(batch: pa.Table, keys: list[str], alias: str,
-             value: str | None = None) -> pa.Table:
-    """One row per distinct key of ``batch``, columns ``keys + [alias]``:
-    the row count, or the sum of ``value`` when given."""
-    if value is None:
-        part = batch.select(keys).group_by(keys).aggregate([([], "count_all")])
-        out = "count_all"
-    else:
-        part = batch.select(keys + [value]).group_by(keys) \
-            .aggregate([(value, "sum")])
-        out = f"{value}_sum"
+def _partial(batch: pa.Table, keys: list[str],
+             aggs: dict[str, str | None]) -> pa.Table:
+    """One row per distinct key of ``batch``, columns ``keys`` then one
+    per ``aggs`` item ``alias: column``: the column's sum, or the row
+    count when ``column`` is None."""
+    cols = [c for c in aggs.values() if c is not None]
+    count = [([], "count_all")] if None in aggs.values() else []
+    part = batch.select(keys + cols).group_by(keys) \
+        .aggregate([(c, "sum") for c in cols] + count)
     # by NAME: the aggregate column's position has moved across pyarrow releases
-    return part.select(keys + [out]).rename_columns(keys + [alias])
+    out = {k: part[k] for k in keys}
+    for alias, c in aggs.items():
+        out[alias] = part["count_all" if c is None else f"{c}_sum"]
+    return pa.table(out)
 
 
-def _tree_reduce(partials: Dataset, keys: list[str], alias: str,
-                 mode: str, seed: pa.Table | None = None) -> Dataset:
-    """Reduce partial tables (``keys + [alias]``), starting from the
-    partial ``seed`` if given, to exact totals; an all-null group sums to
-    null, as in SQL.
-
-    Tree mode merges with polars, not ``pa.Table.group_by``: pyarrow
+def _merge(tables: list[pa.Table], keys: list[str],
+           aliases: list[str]) -> pa.Table:
+    """Sum partial tables (``keys + aliases``) by key; an all-null group
+    sums to null. Merges with polars, not ``pa.Table.group_by``: pyarrow
     16.1's multi-key grouper splits a null fixed-width key (e.g. an
     all-null int64 or timestamp column) into many groups."""
-    if mode == "shuffle":
-        if seed is not None:
-            partials = partials.union(ray.data.from_arrow(seed))
-        return partials.materialize().groupby(keys) \
-            .aggregate(Sum(alias, alias_name=alias))
-    if mode != "tree":
-        raise ValueError(f"unknown aggregate mode {mode!r}")
-    import polars as pl
+    t = pa.concat_tables(tables, promote_options="default") \
+        .select(keys + aliases)
+    out = pl.from_arrow(t).group_by(keys).agg(
+        [pl.when(pl.col(a).count() > 0).then(pl.col(a).sum()).alias(a)
+         for a in aliases])
+    return out.to_arrow().select(keys + aliases).cast(t.schema)
 
-    total = pl.when(pl.col(alias).count() > 0).then(pl.col(alias).sum())
 
-    def merge(tables: list[pa.Table]) -> list[pa.Table]:
-        t = pa.concat_tables(tables, promote_options="default")
-        out = pl.from_arrow(t).group_by(keys).agg(total.alias(alias))
-        return [out.to_arrow().select(keys + [alias]).cast(t.schema)]
-
+def _fold(partials: Dataset, keys: list[str], aliases: list[str],
+          seed: pa.Table | None = None) -> Dataset:
+    """Tree mode: merge the partial blocks, starting from the partial
+    ``seed`` if given, on the driver; returns a one-block Dataset."""
     # Fold the pending blocks into the result (zero tables or one) once they
     # outnumber its rows: merge work stays linear in the partial rows.
     result, pending, pending_rows = [] if seed is None else [seed], [], 0
@@ -79,43 +87,67 @@ def _tree_reduce(partials: Dataset, keys: list[str], alias: str,
         pending.append(block)
         pending_rows += block.num_rows
         if pending_rows > sum(map(len, result)):
-            result, pending, pending_rows = merge(result + pending), [], 0
+            result = [_merge(result + pending, keys, aliases)]
+            pending, pending_rows = [], 0
     tables = result + pending  # none when the input had no rows
-    return ray.data.from_arrow(merge(tables)[0] if tables else pa.table({}))
+    return ray.data.from_arrow(_merge(tables, keys, aliases) if tables
+                               else pa.table({}))
+
+
+def aggregate_by(ds: Dataset, keys: list[str], aggs: dict[str, str | None],
+                 mode: str) -> Dataset:
+    """Grouped row counts and column sums in ONE pass: columns ``keys``
+    then one per ``aggs`` item ``alias: column`` — the column's exact
+    sum (null when every value of the group is null), or the row count
+    when ``column`` is None. ``mode`` is ``"tree"`` or ``"shuffle"``
+    (see the module docstring)."""
+    if mode not in ("tree", "shuffle"):
+        raise ValueError(f"unknown aggregate mode {mode!r}")
+    aliases = list(aggs)
+
+    def partial(batch: pa.Table) -> pa.Table:
+        part = _partial(batch, keys, aggs)
+        if mode == "tree":
+            return part
+        shard = shard_series_i32(pl.from_arrow(part.select(keys)), keys,
+                                 _SHARDS)
+        return part.append_column("_shard", shard.to_arrow())
+
+    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    if mode == "tree":
+        return _fold(partials, keys, aliases)
+
+    def merge_shard(g: pa.Table) -> pa.Table:
+        return _merge([g], keys, aliases)
+
+    return partials.groupby("_shard").map_groups(merge_shard,
+                                                 batch_format="pyarrow")
 
 
 def counts_by(ds: Dataset, keys: list[str], alias: str = "n",
               mode: str = "tree") -> Dataset:
     """Exact grouped row counts; columns ``keys + [alias]`` (name the SQL
     oracle column identically: ``COUNT(*) AS n``)."""
-    def partial(batch: pa.Table) -> pa.Table:
-        return _partial(batch, keys, alias)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return _tree_reduce(partials, keys, alias, mode)
+    return aggregate_by(ds, keys, {alias: None}, mode)
 
 
 def grouped_sum(ds: Dataset, keys: list[str], value: str, alias: str,
                 mode: str = "tree") -> Dataset:
     """Exact grouped sum with per-batch partial aggregation; a group whose
     ``value`` is null on every row sums to null, as SQL's SUM does."""
-    def partial(batch: pa.Table) -> pa.Table:
-        return _partial(batch, keys, alias, value)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return _tree_reduce(partials, keys, alias, mode)
+    return aggregate_by(ds, keys, {alias: value}, mode)
 
 
-def fused_counts(ds: Dataset, key_sets: dict[str, list[str]], alias: str = "n",
-                 mode: str = "tree") -> Dataset:
+def fused_counts(ds: Dataset, key_sets: dict[str, list[str]],
+                 alias: str = "n") -> Dataset:
     """SEVERAL grouped counts in ONE pass over the input.
 
     Each batch emits one partial-count table per key set, tagged
     ``_agg = name`` and null-padded to the union of key columns (the
-    merge groups nulls as one value — see ``_tree_reduce``); one
-    reduce finishes all views. Filter the result on ``_agg`` to split views. At 100 TB this
-    halves the number of full passes when a pipeline needs multiple
-    aggregate views of one stream.
+    merge groups nulls as one value — see ``_merge``); one driver
+    merge finishes all views. Filter the result on ``_agg`` to split
+    views. At 100 TB this halves the number of full passes when a
+    pipeline needs multiple aggregate views of one stream.
     """
     all_keys: list[str] = []
     for keys in key_sets.values():
@@ -126,7 +158,7 @@ def fused_counts(ds: Dataset, key_sets: dict[str, list[str]], alias: str = "n",
     def partial(batch: pa.Table) -> pa.Table:
         pieces = []
         for name, keys in key_sets.items():
-            part = _partial(batch, keys, alias)
+            part = _partial(batch, keys, {alias: None})
             n = part.num_rows
             cols = {"_agg": pa.array([name] * n, type=pa.string())}
             for k in all_keys:
@@ -137,7 +169,7 @@ def fused_counts(ds: Dataset, key_sets: dict[str, list[str]], alias: str = "n",
         return pa.concat_tables(pieces)
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return _tree_reduce(partials, ["_agg"] + all_keys, alias, mode)
+    return _fold(partials, ["_agg"] + all_keys, [alias])
 
 
 def topk_rows(ds: Dataset, order_col: str, id_col: str,
@@ -152,8 +184,6 @@ def topk_rows(ds: Dataset, order_col: str, id_col: str,
     rows, never the corpus. Rows with a null order or id value are
     excluded (SQL ORDER BY ... LIMIT ranking over non-null keys).
     """
-    import polars as pl
-
     cols = [order_col, id_col]
 
     def prune(batch: pa.Table) -> pa.Table:
@@ -180,7 +210,6 @@ def grouped_topk(ds: Dataset, group_key: str, order_col: str,
     PARTITION BY/ORDER BY ranking semantics over non-null keys).
     """
     import pandas as pd
-    import polars as pl
 
     cols = [group_key, order_col, id_col]
 
@@ -202,8 +231,7 @@ def grouped_topk(ds: Dataset, group_key: str, order_col: str,
 
 def grouping_sets_counts(ds: Dataset, keys: list[str],
                          sets: list[list[str]], alias: str = "n", *,
-                         sentinels: dict | None = None,
-                         mode: str = "tree") -> Dataset:
+                         sentinels: dict | None = None) -> Dataset:
     """``GROUP BY GROUPING SETS(sets)`` counts — the general multi-level
     aggregate behind ROLLUP (prefix sets) and CUBE (all subsets): one
     row per distinct key tuple of each requested grouping set.
@@ -212,7 +240,7 @@ def grouping_sets_counts(ds: Dataset, keys: list[str],
     the full-key level, re-aggregates that key-cardinality-bounded
     result per requested set (counts are additive), and emits
     sentinel-padded partials for every set at once; a single
-    ``_tree_reduce`` over the padded key space finishes all sets
+    driver merge over the padded key space finishes all sets
     together. Per batch that is ≤ Σ per-set distinct rows, and no set
     ever re-reads the corpus or adds an execution barrier.
 
@@ -255,13 +283,13 @@ def grouping_sets_counts(ds: Dataset, keys: list[str],
         t = batch.select(keys).drop_null()
         # one full-batch hash aggregation; every requested set
         # re-aggregates this key-bounded result, never the raw batch
-        g = _partial(t, keys, alias)
+        g = _partial(t, keys, {alias: None})
         out = []
         for kept in norm:
             if kept == keys:
                 out.append(_padded(g, keys))
             elif kept:
-                out.append(_padded(_partial(g, kept, alias, alias), kept))
+                out.append(_padded(_partial(g, kept, {alias: alias}), kept))
             else:
                 out.append(_padded(pa.table({alias: [t.num_rows]}), []))
         return pa.concat_tables(out)
@@ -269,24 +297,21 @@ def grouping_sets_counts(ds: Dataset, keys: list[str],
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            batch_size=None)
     seed = _padded(pa.table({alias: [0]}), []) if [] in norm else None
-    return _tree_reduce(parts, keys, alias, mode, seed)
+    return _fold(parts, keys, [alias], seed)
 
 
 def rollup_counts(ds: Dataset, keys: list[str], alias: str = "n", *,
-                  sentinels: dict | None = None,
-                  mode: str = "tree") -> Dataset:
+                  sentinels: dict | None = None) -> Dataset:
     """``GROUP BY ROLLUP(keys)`` counts: the prefix grouping sets —
     finest, each prefix subtotal, grand total. See
     `grouping_sets_counts` for the one-pass/one-reduce scale shape and
     the sentinel contract."""
     sets = [list(keys[:i]) for i in range(len(keys), -1, -1)]
-    return grouping_sets_counts(ds, keys, sets, alias,
-                                sentinels=sentinels, mode=mode)
+    return grouping_sets_counts(ds, keys, sets, alias, sentinels=sentinels)
 
 
 def cube_counts(ds: Dataset, keys: list[str], alias: str = "n", *,
-                sentinels: dict | None = None,
-                mode: str = "tree") -> Dataset:
+                sentinels: dict | None = None) -> Dataset:
     """``GROUP BY CUBE(keys)`` counts: ALL 2^d key subsets (use small
     d; every subset re-aggregates the one full-key aggregate, so depth
     costs partial rows, not corpus passes). See `grouping_sets_counts`
@@ -295,5 +320,4 @@ def cube_counts(ds: Dataset, keys: list[str], alias: str = "n", *,
 
     sets = [list(c) for r in range(len(keys), -1, -1)
             for c in combinations(keys, r)]
-    return grouping_sets_counts(ds, keys, sets, alias,
-                                sentinels=sentinels, mode=mode)
+    return grouping_sets_counts(ds, keys, sets, alias, sentinels=sentinels)

@@ -142,21 +142,25 @@ def bm25_topk(ds: Dataset, query_terms: list[str], *, k: int = 25,
             score_arr = pa.array(sc, pa.float64())
         else:
             sc = np.zeros(df.height, np.int64)
+            dl_max = int(dl.max())
             # shared exact-mode denominator terms: 10·tf·T + 3·T + 9·dl·N
             d_fixed = 3 * n_toks + 9 * dl * n_docs
             for t in terms:
                 tf = df["_tk"].list.count_matches(t).to_numpy() \
                     .astype(np.int64)
                 w = weights[t]
-                tf_max = int(tf.max()) if tf.size else 0
-                # loud overflow gate BEFORE numpy wraps silently: the
-                # numerator 22·w·tf·T·scale is the largest intermediate
-                if 22 * w * tf_max * n_toks * scale >= (1 << 63):
+                tf_max = int(tf.max())
+                # loud overflow gate BEFORE numpy wraps silently, in
+                # Python ints: the numerator 22·w·tf·T·scale and the
+                # largest denominator 10·tf·T + 3·T + 9·dl·N
+                num = 22 * w * tf_max * n_toks * scale
+                den = 10 * tf_max * n_toks + 3 * n_toks + 9 * dl_max * n_docs
+                if max(num, den) >= (1 << 63):
                     raise ValueError(
                         "bm25 exact-mode integer score would overflow "
-                        f"int64 (w={w}, tf={tf_max}, T={n_toks}, "
-                        f"scale={scale}); use mode='float' at this "
-                        "corpus size")
+                        f"int64 (w={w}, tf={tf_max}, dl={dl_max}, "
+                        f"N={n_docs}, T={n_toks}, scale={scale}); use "
+                        "mode='float' at this corpus size")
                 sc += (22 * w * tf * n_toks * scale) \
                     // (10 * tf * n_toks + d_fixed)
             score_arr = pa.array(sc, pa.int64())

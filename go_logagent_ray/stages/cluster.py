@@ -46,6 +46,8 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 from ray.data.aggregate import Count, Min
 
+from .aggregate import aggregate_by
+
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -106,8 +108,9 @@ def _edge_signature(edges: Dataset) -> tuple[int, int]:
 
 def _is_star_forest(edges: Dataset) -> bool:
     """True iff every member node appears exactly once and never as a
-    center — the shape of a converged star forest.  One groupby over
-    compact (node, flags) rows; runs once at convergence."""
+    center — the shape of a converged star forest.  One hash-sharded
+    ``aggregate_by`` over compact (node, flags) rows; runs once at
+    convergence."""
 
     def flags(batch: pa.Table) -> pa.Table:
         a = batch.column("a").to_numpy(zero_copy_only=False)
@@ -120,11 +123,9 @@ def _is_star_forest(edges: Dataset) -> bool:
                                    np.ones(len(b), np.int64)]),
         })
 
-    from ray.data.aggregate import Sum
-    g = (edges.map_batches(flags, batch_format="pyarrow")
-         .groupby("node")
-         .aggregate(Sum("n_a", alias_name="n_a"),
-                    Sum("n_b", alias_name="n_b")))
+    g = aggregate_by(edges.map_batches(flags, batch_format="pyarrow"),
+                     ["node"], {"n_a": "n_a", "n_b": "n_b"}, "shuffle")
+
     def count_bad(batch: pa.Table) -> pa.Table:
         na = batch.column("n_a").to_numpy(zero_copy_only=False)
         nb = batch.column("n_b").to_numpy(zero_copy_only=False)

@@ -177,8 +177,8 @@ def pagerank_topk(pairs: Dataset, *, k: int = 25, iterations: int = 3,
         # every node has in-degree ≥ 1 (undirected doubling), so the
         # summed table covers the full node set — no outer re-join.
         # NOT materialized: ranks has exactly one consumer (the next
-        # iteration's co-group, or the final top-k) and the next
-        # grouped_sum's internal materialize already forces execution.
+        # iteration's co-group, or the final top-k), so the lazy plan
+        # runs each iteration once.
         # Repartitioned to the node table's size-proportional count:
         # the groupby would otherwise hand the next iteration one
         # block per UNION input block and the DAG's block count (=

@@ -23,6 +23,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Max, Min, Sum
 
 from ..functions.arrow_utils import as_combined
+from .aggregate import aggregate_by
 
 
 def profile_numeric(ds: Dataset, columns: list[str]) -> Dataset:
@@ -80,9 +81,9 @@ def grouped_zscore_filter(ds: Dataset, group_key: str, value_col: str,
 
     Two-pass grouped-statistics shape (the grouped sibling of the
     global-quantile gate): pass 1 reduces every batch to one
-    (group, n, Σx, Σx²) partial row per group — a tiny groupby merges
-    them; the per-group thresholds broadcast as plain ints; pass 2 is
-    a vectorized streaming filter.
+    (group, n, Σx, Σx²) partial row per group and the driver merges
+    them (``aggregate_by``, tree mode); the per-group thresholds
+    broadcast as plain ints; pass 2 is a vectorized streaming filter.
 
     EXACT integer formulation — no float mean/std ever computed, so an
     oracle hash cannot drift on rounding:
@@ -102,20 +103,15 @@ def grouped_zscore_filter(ds: Dataset, group_key: str, value_col: str,
 
     import ray
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def squares(batch: pa.Table) -> pa.Table:
         t = batch.select([group_key, value_col]).drop_null()
         x = pc.cast(t.column(value_col), pa.int64())
-        x2 = pc.multiply_checked(x, x)
-        p = pa.table({group_key: t.column(group_key), "s": x, "s2": x2}) \
-            .group_by([group_key]) \
-            .aggregate([([], "count_all"), ("s", "sum"), ("s2", "sum")])
-        return p.select([group_key, "count_all", "s_sum", "s2_sum"]) \
-            .rename_columns([group_key, "n", "s", "s2"])
+        return pa.table({group_key: t.column(group_key), "s": x,
+                         "s2": pc.multiply_checked(x, x)})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    stats = parts.groupby(group_key).aggregate(
-        Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-        Sum("s2", alias_name="s2"))
+    sq = ds.map_batches(squares, batch_format="pyarrow", batch_size=None)
+    stats = aggregate_by(sq, [group_key], {"n": None, "s": "s", "s2": "s2"},
+                         "tree")
     # group cardinality is bounded (languages/sources); Python ints for
     # the exact arithmetic. Per group: keep (n, S, rhs) and whether the
     # int64 vectorized compare is PROVEN safe via |d| ≤ n·√Σx² + |S|.

@@ -24,6 +24,7 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from ..functions.arrow_utils import as_combined
+from .aggregate import counts_by
 
 
 # ------------------------------------------------------------------- HLL
@@ -214,23 +215,16 @@ def grouped_quantiles(ds: Dataset, key: str, value: str,
     excluded on both sides.
     """
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def quantize(batch: pa.Table) -> pa.Table:
         v = as_combined(batch[value]).to_numpy(zero_copy_only=False)
         k = as_combined(batch[key])
         ok = ~np.isnan(v)
         cents = np.floor(v[ok] * scale + 0.5).astype(np.int64)
-        t = pa.table({key: k.filter(pa.array(ok)), "_q": pa.array(cents)})
-        part = t.group_by([key, "_q"]).aggregate([([], "count_all")])
-        # rename BY NAME — positional rename silently swaps columns when
-        # a pyarrow release changes keys-first aggregate output order
-        return pa.table({key: part[key], "_q": part["_q"],
-                         "_n": part["count_all"]})
+        return pa.table({key: k.filter(pa.array(ok)), "_q": pa.array(cents)})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=None)
-    from ray.data.aggregate import Sum
-    counts = partials.groupby([key, "_q"]).aggregate(
-        Sum("_n", alias_name="_n"))
+    quantized = ds.map_batches(quantize, batch_format="pyarrow",
+                               batch_size=None)
+    counts = counts_by(quantized, [key, "_q"], alias="_n", mode="shuffle")
 
     def per_group(g: pa.Table) -> pa.Table:
         qv = g.column("_q").to_numpy(zero_copy_only=False)

@@ -1,8 +1,9 @@
-"""The driver-side merge of ``stages/aggregate.py``: every tree-mode
-aggregate equals a DuckDB reference (null keys one group each, an
-all-null sum stays null), handles inputs with no rows, folds many
-partial blocks to the single-block answer, and plans one partial map
-with no shuffle."""
+"""The grouping kernel of ``stages/aggregate.py``: every aggregate
+equals a DuckDB reference in both merge modes (null keys one group
+each, an all-null sum stays null), one pass makes several outputs,
+inputs with no rows give no groups, many partial blocks fold to the
+single-block answer, and tree mode plans one partial map with no
+shuffle."""
 
 from collections import Counter
 from datetime import datetime, timedelta
@@ -13,8 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from go_logagent_ray.stages.aggregate import (counts_by, fused_counts,
-                                              grouped_sum, rollup_counts)
+from go_logagent_ray.stages.aggregate import (aggregate_by, counts_by,
+                                              fused_counts, grouped_sum,
+                                              rollup_counts)
+
+_T0 = datetime(2024, 1, 1)
 
 
 def _rows(ds) -> Counter:
@@ -42,21 +46,74 @@ def _ref(sql: str, **tables) -> Counter:
 
 
 @pytest.mark.parametrize("mode,last_key", [
-    ("tree", None), ("shuffle", "c"),
-    pytest.param("shuffle", None, marks=pytest.mark.xfail(
-        strict=True, reason="Ray's sort shuffle compares the null key with "
-        "strings (TypeError): shuffle mode cannot group a null string key")),
-])
+    ("tree", None), ("shuffle", "c"), ("shuffle", None)])
 def test_grouped_sum_all_null_group_is_null(ray_session, mode, last_key):
     """A group whose values are all null sums to NULL, as DuckDB's SUM
-    does, in both modes; the input spans two blocks."""
-    t = pa.table({"k": ["a", "a", "b", last_key],
-                  "v": pa.array([None, None, 3, 4], pa.int64())})
-    got = _rows(grouped_sum(_blocks(t, [2]), ["k"], "v", alias="s",
-                            mode=mode))
-    want = _ref("SELECT k, SUM(v)::BIGINT AS s FROM t GROUP BY k", t=t)
+    does, in both modes, under a string key (its last value
+    ``last_key``), an int64 key and a timestamp key, each with a null;
+    the input spans two blocks, and every output block has one
+    schema."""
+    import ray
+
+    keys = [pa.array(["a", "a", "b", last_key]),
+            pa.array([1, 1, 2, None], pa.int64()),
+            pa.array([_T0, _T0, _T0 + timedelta(hours=1), None],
+                     pa.timestamp("us"))]
+    for k in keys:
+        t = pa.table({"k": k, "v": pa.array([None, None, 3, 4], pa.int64())})
+        out = grouped_sum(_blocks(t, [2]), ["k"], "v", alias="s", mode=mode)
+        blocks = ray.get(out.to_arrow_refs())
+        assert len({b.schema for b in blocks}) == 1, [b.schema for b in blocks]
+        got = Counter(tuple(r.values()) for b in blocks for r in b.to_pylist())
+        want = _ref("SELECT k, SUM(v)::BIGINT AS s FROM t GROUP BY k", t=t)
+        assert got == want
+        assert (k[0].as_py(), None) in got
+
+
+@pytest.mark.parametrize("mode", ["tree", "shuffle"])
+def test_one_pass_counts_and_two_sums_match_duckdb(ray_session, mode):
+    """One ``aggregate_by`` pass makes a row count and two column sums
+    over a null-holding string key and int64 key, across four blocks;
+    it equals DuckDB, including a group whose ``w`` values are all
+    null."""
+    import random
+
+    rnd = random.Random(7)
+    rows = []
+    for j in range(400):
+        s, i = rnd.choice(["x", "y", "", None]), rnd.choice([-1, 0, 5, None])
+        rows.append({"s": s, "i": i,
+                     "v": rnd.choice([None, rnd.randint(-99, 99)]),
+                     "w": None if s is None and i is None else 10**12 + j})
+    t = pa.Table.from_pylist(rows, schema=pa.schema(
+        [("s", pa.string()), ("i", pa.int64()), ("v", pa.int64()),
+         ("w", pa.int64())]))
+    got = _rows(aggregate_by(_blocks(t, [90, 170, 300]), ["s", "i"],
+                             {"n": None, "sv": "v", "sw": "w"}, mode))
+    want = _ref("SELECT s, i, COUNT(*) AS n, SUM(v)::BIGINT AS sv, "
+                "SUM(w)::BIGINT AS sw FROM t GROUP BY s, i", t=t)
     assert got == want
-    assert ("a", None) in got
+    assert (None, None) in {r[:2] for r in got if r[4] is None}
+
+
+def test_shuffle_keeps_a_null_key_whole_across_null_typed_blocks(
+        ray_session):
+    """A block whose key columns are all null arrives with the Null
+    dtype; its (null, null) rows still merge with the typed block's
+    into one group in shuffle mode (one shard for one key tuple)."""
+    import ray
+    import ray.data as rd
+
+    items = [{"k": None, "i": None, "v": 1}] * 3 + [
+        {"k": "a", "i": None, "v": 2}, {"k": None, "i": 5, "v": 3},
+        {"k": None, "i": None, "v": 10}]
+    ds = rd.from_items(items, override_num_blocks=2)
+    assert pa.null() in ray.get(ds.to_arrow_refs())[0].schema.types
+    want = Counter({(None, None, 4, 13): 1, ("a", None, 1, 2): 1,
+                    (None, 5, 1, 3): 1})
+    for mode in ("tree", "shuffle"):
+        got = aggregate_by(ds, ["k", "i"], {"n": None, "s": "v"}, mode)
+        assert _rows(got) == want, mode
 
 
 _EDGE_T = pa.table({"k": ["a", "b", "a", "c", "b", "a"],
@@ -131,7 +188,6 @@ def test_counts_by_plans_one_partial_map_and_no_repartition(ray_session,
     assert _rows(out) == Counter({("a", 3): 1, ("b", 2): 1, ("c", 1): 1})
 
 
-_T0 = datetime(2024, 1, 1)
 _row = st.fixed_dictionaries({
     "s": st.one_of(st.none(), st.sampled_from(["x", "y", ""])),
     "i": st.one_of(st.none(), st.integers(-2, 2)),

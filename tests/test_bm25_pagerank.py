@@ -84,6 +84,22 @@ def test_bm25_overflow_guard(ray_session):
         bm25_topk(_docs_ds(), ["a"], k=3, scale=10**17).to_pandas()
 
 
+def test_bm25_overflow_guard_checks_the_denominator(ray_session,
+                                                    monkeypatch):
+    """Here the numerator 22·w·tf·T·scale fits int64 (2.2·10^17) but the
+    denominator's 9·dl·N term is 9.9·10^18: exact mode must raise, not
+    let numpy wrap the denominator (that scored the doc -1, not 0)."""
+    import go_logagent_ray.stages.bm25 as bm25
+
+    n, t = 10**12, 10**13
+    monkeypatch.setattr(bm25, "corpus_stats",
+                        lambda ds, terms, **kw: (n, t, {"a": n - 1}))
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array([1], pa.int64()),
+                                 "text": ["a" + " b" * 1_100_000]}))
+    with pytest.raises(Exception, match="overflow int64"):
+        bm25_topk(ds, ["a"], k=1).to_pandas()
+
+
 def test_bm25_all_null_text(ray_session):
     ds = rd.from_arrow(pa.table({
         "doc_id": pa.array([1, 2], pa.int64()),
