@@ -287,5 +287,6 @@ def _decontaminate_chunk_stats(d: Dataset) -> Dataset:
     c = d.map_batches(clean, batch_format="pyarrow", zero_copy_batch=True)
     ch = chunk_documents(c, size=32, stride=24)
     return aggregate_by(ch, ["doc_id"],
-                        {"n_chunks": None, "n_chunk_words": "n_words"},
+                        {"n_chunks": ("count", None),
+                         "n_chunk_words": ("sum", "n_words")},
                         "shuffle")

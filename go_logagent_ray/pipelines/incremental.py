@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -83,11 +82,11 @@ class StreamingDedup:
     """Streaming exact dedup over arriving chunks — the stateful
     cross-chunk analog of ``exact_keepers``.
 
-    Per chunk: every block reduces to (fingerprint, min id) PARTIALS
-    inside ``map_batches`` (rows never reach the driver), the driver
-    merges them in numpy to one (fingerprint, min id) pair per distinct
-    content, and one lookup in the driver's seen-set per distinct
-    fingerprint answers first-seen. Keeper semantics: the min id within
+    Per chunk: one tree-mode ``aggregate_by`` min reduces every block
+    to (fingerprint, min id) partials inside ``map_batches`` (rows never
+    reach the driver) and merges them on the driver to one (fingerprint,
+    min id) pair per distinct content; one lookup in the driver's
+    seen-set per distinct fingerprint answers first-seen. Keeper semantics: the min id within
     the FIRST chunk that contains the content; feed chunks in id order
     (id-range chunks) and this equals the global ``MIN(id) GROUP BY
     text`` — the batch-dedup oracle.
@@ -110,41 +109,26 @@ class StreamingDedup:
         """Returns the doc ids ACCEPTED from this chunk (first holders
         of content never seen before), ascending."""
         from ..functions.textstats import raw_fingerprint
+        from ..stages.aggregate import aggregate_by
 
         text_field, id_field = self.text_field, self.id_field
 
-        def partial(batch: pa.Table) -> pa.Table:
-            b = raw_fingerprint(batch, field=text_field, out="_fp")
-            p = (b.select(["_fp", id_field]).group_by(["_fp"])
-                 .aggregate([(id_field, "min")]))
-            return p.select(["_fp", id_field + "_min"]) \
-                .rename_columns(["_fp", id_field])
+        def fp(batch: pa.Table) -> pa.Table:
+            return raw_fingerprint(batch, field=text_field, out="_fp")
 
-        # Driver merge stays numpy end-to-end (16 bytes/row, one
-        # lexsort) — never Python row-dicts, whose ~100 bytes/row plus
-        # a per-row dict insert would make the driver the bottleneck
-        # long before the arrays do (same rule as exact_dedup_broadcast).
-        fp_parts: list[np.ndarray] = []
-        id_parts: list[np.ndarray] = []
-        for b in ds.map_batches(partial, batch_format="pyarrow") \
-                .iter_batches(batch_format="pyarrow"):
-            fp_parts.append(b.column("_fp").to_numpy(zero_copy_only=False))
-            id_parts.append(b.column(id_field)
-                            .to_numpy(zero_copy_only=False))
-        fp_all = (np.concatenate(fp_parts) if fp_parts
-                  else np.zeros(0, np.int64)).astype(np.int64, copy=False)
-        id_all = (np.concatenate(id_parts) if id_parts
-                  else np.zeros(0, np.int64)).astype(np.int64, copy=False)
-        order = np.lexsort((id_all, fp_all))
-        fp_s, id_s = fp_all[order], id_all[order]
-        first = np.ones(fp_s.size, dtype=bool)
-        first[1:] = fp_s[1:] != fp_s[:-1]
-        # one (fingerprint, min id) pair per distinct content: fps_u is
-        # unique, so a membership test then one bulk insert is exact
-        fps_u, ids_u = fp_s[first].tolist(), id_s[first].tolist()
-        seen = self.seen
-        kept = [i for f, i in zip(fps_u, ids_u) if f not in seen]
-        seen.update(fps_u)
+        firsts = aggregate_by(ds.map_batches(fp, batch_format="pyarrow"),
+                              ["_fp"], {id_field: ("min", id_field)}, "tree")
+        # one (fingerprint, min id) row per distinct content, read as
+        # Arrow columns, never Python row-dicts (same rule as
+        # exact_dedup_broadcast); fps are unique, so a membership test
+        # then one bulk insert is exact
+        seen, kept = self.seen, []
+        for b in firsts.iter_batches(batch_format="pyarrow", batch_size=None):
+            if b.num_rows:
+                fps = b["_fp"].to_pylist()
+                kept += [i for f, i in zip(fps, b[id_field].to_pylist())
+                         if f not in seen]
+                seen.update(fps)
         return sorted(kept)
 
     def n_distinct(self) -> int:

@@ -85,8 +85,7 @@ EVENT_ROUTE_RULES = [
 def q_route_events(sf_dir: str):
     """R1: conditional fan-out routing + per-sink counts."""
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
-    ds = ds.map_batches(RouteStage(EVENT_ROUTE_RULES, default_sink="default",
-                                   tags_column="_no_tags"),
+    ds = ds.map_batches(RouteStage(EVENT_ROUTE_RULES, default_sink="default"),
                         batch_format="pyarrow", zero_copy_batch=True)
     return counts_by(ds, ["route"], alias="n")
 
@@ -451,22 +450,11 @@ def q_fingerprint_docs(sf_dir: str):
     non-alphanumerics, trim). The rep map is ≤ distinct-content
     cardinality (broadcast regime, documented boundary)."""
     import ray
-    from ray.data.aggregate import Min
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     fp = ds.map_batches(fingerprint, batch_format="pyarrow",
                         zero_copy_batch=True)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(["fp64", "doc_id"]).group_by(["fp64"]) \
-            .aggregate([("doc_id", "min")])
-        # rename by name, not position — pyarrow aggregate column order
-        # has varied across releases
-        return t.select(["fp64", "doc_id_min"]) \
-            .rename_columns(["fp64", "doc_id"])
-
-    reps = fp.map_batches(partial, batch_format="pyarrow") \
-        .groupby("fp64").aggregate(Min("doc_id", alias_name="rep"))
+    reps = aggregate_by(fp, ["fp64"], {"rep": ("min", "doc_id")}, "shuffle")
     # Arrow batches → numpy (16 B per distinct text), never take_all
     # row-dicts — same driver-memory rule as exact_dedup_broadcast
     ks, vs = [], []
@@ -762,8 +750,9 @@ def q_lineitem_agg(sf_dir: str):
     ds = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"])
     out = aggregate_by(ds, ["l_returnflag", "l_linestatus"],
-                       {"sum_qty": "l_quantity",
-                        "sum_price": "l_extendedprice", "n": None}, "tree")
+                       {"sum_qty": ("sum", "l_quantity"),
+                        "sum_price": ("sum", "l_extendedprice"),
+                        "n": ("count", None)}, "tree")
 
     def int_exact(batch: pa.Table) -> pa.Table:
         # floats never reach the driver's value-hash: quantities are
@@ -1105,7 +1094,8 @@ def q_tcp_source_counts(sf_dir: str):
     parsed = ds.map_batches(
         GrokParser("%{LOGLEVEL:level} %{WORD:msg} id=%{INT:id:int}"),
         batch_format="pyarrow")
-    return aggregate_by(parsed, ["level"], {"sum_id": "id", "n": None},
+    return aggregate_by(parsed, ["level"],
+                        {"sum_id": ("sum", "id"), "n": ("count", None)},
                         "tree")
 
 
@@ -1234,8 +1224,7 @@ def q_apache_log_parse(sf_dir: str):
         ds = ds.map_batches(make_line, batch_format="pyarrow",
                             zero_copy_batch=True)
         ds = ds.map_batches(
-            GrokParser("%{APACHELOG}", field="line", patterns_path=pat_file,
-                       tags_column="_no_tags"),
+            GrokParser("%{APACHELOG}", field="line", patterns_path=pat_file),
             batch_format="pyarrow", zero_copy_batch=True)
         return ds.select_columns(
             ["event_id", "clientip", "verb", "request", "response", "bytes"]
@@ -1272,8 +1261,7 @@ def q_grok_multifield_events(sf_dir: str):
     ds = ds.map_batches(two_fields, batch_format="pyarrow",
                         zero_copy_batch=True)
     ds = ds.map_batches(
-        GrokParser('"k": %{INT:k_val:int}', field=["a", "b"],
-                   tags_column="_no_tags"),
+        GrokParser('"k": %{INT:k_val:int}', field=["a", "b"]),
         batch_format="pyarrow", zero_copy_batch=True)
     return ds.select_columns(["event_id", "k_val"])
 
@@ -2296,16 +2284,15 @@ FROM ch GROUP BY doc_id
 def q_doc_freq_terms(sf_dir: str):
     """TF-IDF building block: document frequency per term (distinct
     docs containing the term), top 50 by df with deterministic
-    tie-break.  Per-batch polars split → per-doc unique → local term
-    counts (combiner), so only compact (term, partial_df) rows shuffle;
-    the final sort runs on the tiny aggregated table."""
+    tie-break.  Per-batch polars split → per-doc unique terms, counted
+    by ``counts_by`` (its per-batch partial is the combiner), so only
+    compact (term, partial_df) rows shuffle; the final sort runs on
+    the tiny aggregated table."""
     import polars as pl
-
-    from ..stages.aggregate import grouped_sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def partial_df(batch: pa.Table) -> pa.Table:
+    def doc_terms(batch: pa.Table) -> pa.Table:
         # null text must emit ZERO term rows (the oracle's
         # unnest(string_split(NULL)) is zero rows; an unfiltered
         # explode would emit one null 'term' row that group_by counts)
@@ -2315,15 +2302,11 @@ def q_doc_freq_terms(sf_dir: str):
                    pl.col("text").str.split(" ").list.unique().alias("_t"))
                .select(pl.col("_t"))
                .explode("_t")
-               .filter(pl.col("_t").is_not_null())
-               .group_by("_t").len())
-        return pa.table({
-            "term": out["_t"].to_arrow().cast(pa.string()),
-            "df": out["len"].to_arrow().cast(pa.int64()),
-        })
+               .filter(pl.col("_t").is_not_null()))
+        return pa.table({"term": out["_t"].to_arrow().cast(pa.string())})
 
-    partials = ds.map_batches(partial_df, batch_format="pyarrow")
-    total = grouped_sum(partials, ["term"], "df", alias="df")
+    total = counts_by(ds.map_batches(doc_terms, batch_format="pyarrow"),
+                      ["term"], alias="df")
     return total.sort(["df", "term"], descending=[True, False]).limit(50)
 
 
@@ -2581,8 +2564,6 @@ def q_inverted_index_docs(sf_dir: str):
     shard files in shard order.  Per-batch per-doc-unique explode is
     the only wide work; only compact (term, doc_id) rows shuffle."""
     import polars as pl
-
-    from ray.data.aggregate import Min
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2875,53 +2856,32 @@ SQL_BPE_ENCODE_DOCS = _sql_bpe_encode_docs()
 
 def q_funnel_users_events(sf_dir: str):
     """Funnel / conversion analysis: users whose FIRST signup precedes
-    their FIRST purchase, with both timestamps. Shape: per-batch
-    conditional-min partials (CASE-masked ts, one Arrow hash-agg per
-    batch) → one small (user, 2 mins) groupby → vectorized compare.
-    Only (user_id, 2 timestamps) rows ever shuffle."""
-    from ray.data.aggregate import Min
-
+    their FIRST purchase, with both timestamps. Shape: CASE-masked ts
+    per row → one hash-sharded ``aggregate_by`` of two mins per user →
+    vectorized compare. Only per-batch (user_id, 2 timestamps) partials
+    ever shuffle."""
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def masked(batch: pa.Table) -> pa.Table:
         et = batch["event_type"]
-        # aggregate on int64 MICROSECONDS, not timestamps: Ray's Min
-        # materializes values as Python objects when combining, and
-        # datetime values can't rebuild a timestamp Arrow array there —
-        # the block silently degrades to pickled-object columns. The
-        # us-cast first pins the unit (a ns-written parquet would
-        # otherwise be relabeled us downstream, 1000× off).
-        ts = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")),
-                     pa.int64())
-        masked = pa.table({
+        # the us-cast pins the unit (a ns-written parquet would
+        # otherwise be relabeled us downstream, 1000× off)
+        ts = pc.cast(batch["ts"], pa.timestamp("us"))
+        none = pa.nulls(batch.num_rows, ts.type)
+        return pa.table({
             "user_id": batch["user_id"],
-            "ts_signup": pc.if_else(pc.equal(et, pa.scalar("signup")),
-                                    ts, pa.nulls(batch.num_rows,
-                                                 pa.int64())),
-            "ts_purchase": pc.if_else(pc.equal(et, pa.scalar("purchase")),
-                                      ts, pa.nulls(batch.num_rows,
-                                                   pa.int64())),
+            "ts_signup": pc.if_else(pc.equal(et, "signup"), ts, none),
+            "ts_purchase": pc.if_else(pc.equal(et, "purchase"), ts, none),
         })
-        p = masked.group_by(["user_id"]).aggregate(
-            [("ts_signup", "min"), ("ts_purchase", "min")])
-        return p.select(["user_id", "ts_signup_min", "ts_purchase_min"]) \
-            .rename_columns(["user_id", "ts_signup", "ts_purchase"])
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    mins = parts.groupby("user_id").aggregate(
-        Min("ts_signup", alias_name="ts_signup"),
-        Min("ts_purchase", alias_name="ts_purchase"))
+    mins = aggregate_by(ds.map_batches(masked, batch_format="pyarrow"),
+                        ["user_id"], {"ts_signup": ("min", "ts_signup"),
+                                      "ts_purchase": ("min", "ts_purchase")},
+                        "shuffle")
 
     def keep(batch: pa.Table) -> pa.Table:
-        m = pc.and_(pc.and_(pc.is_valid(batch["ts_signup"]),
-                            pc.is_valid(batch["ts_purchase"])),
-                    pc.less(batch["ts_signup"], batch["ts_purchase"]))
-        t = batch.filter(pc.fill_null(m, False))
-        return pa.table({
-            "user_id": t["user_id"],
-            "ts_signup": pc.cast(t["ts_signup"], pa.timestamp("us")),
-            "ts_purchase": pc.cast(t["ts_purchase"], pa.timestamp("us")),
-        })
+        m = pc.less(batch["ts_signup"], batch["ts_purchase"])
+        return batch.filter(pc.fill_null(m, False))
 
     return mins.map_batches(keep, batch_format="pyarrow")
 

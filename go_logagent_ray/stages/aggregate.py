@@ -1,19 +1,27 @@
-"""Aggregate stage (A1/A2) — pre-aggregated counts and sums, one kernel.
+"""Aggregate stage (A1/A2) — pre-aggregated counts, sums, mins and
+maxes, one kernel.
 
 The reference has NO aggregations; the north_star mandates per-sink
 groupby-aggregate counts by (sink/route, role, tool, ts-hour) and per
 conv_id (BASELINE.json:L6; SURVEY.md §2.5 A1).
 
-One grouping kernel builds and merges every grouped count and sum in
-the library. A bare ``groupby(keys).count()`` shuffles every row, so
-``_partial`` first reduces each batch to one row per distinct key
-INSIDE ``map_batches`` (Arrow C++ hash aggregation), with any mix of
-row counts and column sums; only partials — bounded by #blocks ×
-per-block key cardinality — leave the tasks. ``_merge`` then sums
-partial tables by key with one polars group-by: null keys form one
-group each, and a group whose values are all null sums to null, as
-SQL's SUM does. ``aggregate_by`` is the entry point; ``counts_by`` and
-``grouped_sum`` are its one-output forms.
+One grouping kernel builds and merges every grouped reduction in the
+library. An aggregate is ``{alias: (op, column)}``: ``("count", None)``
+counts rows; ``sum``, ``min`` and ``max`` reduce ``column``. A bare
+``groupby(keys).count()`` shuffles every row, so ``_partial`` first
+reduces each batch to one row per distinct key INSIDE ``map_batches``
+(Arrow C++ hash aggregation); only partials — bounded by #blocks ×
+per-block key cardinality — leave the tasks. ``_merge`` then reduces partial tables by key with one polars
+group-by: counts and sums add, mins and maxes take the min and max.
+Null keys form one group each. Nulls and NaN never reach a min or a
+max (``_partial`` masks NaN), so a group whose values are all null or
+NaN gives null, as does a sum over all-null values — SQL's rule.
+Every output column keeps its input column's type (a count is int64,
+a sum Arrow's sum type). ``aggregate_by`` is the entry point;
+``counts_by`` and ``grouped_sum`` are its one-output forms. A module
+whose finisher needs a coarser group than the reduction's (quantiles,
+log templates) shards the partials on that group and calls
+``_partial`` and ``_merge`` itself.
 
 Two places run the merge:
 
@@ -22,19 +30,21 @@ Two places run the merge:
   memory about twice the result plus one block. Correct whenever the
   FINAL result fits the driver (aggregate cardinality ≤ ~10M rows) —
   true for sink/hour/route counts even at 10^12 turns.
-- ``mode="shuffle"``: a hash-sharded merge, for results too large for
-  the driver (per-doc counts in ``bpe.py``, per-node sums in
-  ``pagerank.py``). Each partial row gets ``_shard`` = a hash of its
-  key tuple mod ``_SHARDS`` (``functions/hashing.py::shard_series_i32``),
-  one sort-shuffle ``groupby("_shard").map_groups`` hands each shard to
-  one task, and that task runs the same merge. The shard is a non-null
-  int32, so a null key shuffles like any other.
+- ``mode="shuffle"``: a hash-sharded merge, for results keyed per doc,
+  fingerprint, segment, node, edge or user. Each partial row gets
+  ``_shard`` = a hash of its key tuple mod ``_SHARDS``
+  (``functions/hashing.py::shard_series_i32``), one sort-shuffle
+  ``groupby("_shard").map_groups`` hands each shard to one task, and
+  that task runs the same merge. The shard is a non-null int32, so a
+  null key shuffles like any other; no Ray ``aggregate`` (which sorts
+  on the raw key and cannot order a null string) is involved.
 """
 
 from __future__ import annotations
 
 import polars as pl
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 from ray.data import Dataset
 
@@ -44,38 +54,57 @@ from ..functions.hashing import shard_series_i32
 # of the partial rows per merge call
 _SHARDS = 32
 
+_OPS = ("count", "sum", "min", "max")
+
 
 def _partial(batch: pa.Table, keys: list[str],
-             aggs: dict[str, str | None]) -> pa.Table:
+             aggs: dict[str, tuple[str, str | None]]) -> pa.Table:
     """One row per distinct key of ``batch``, columns ``keys`` then one
-    per ``aggs`` item ``alias: column``: the column's sum, or the row
-    count when ``column`` is None."""
-    cols = [c for c in aggs.values() if c is not None]
-    count = [([], "count_all")] if None in aggs.values() else []
-    part = batch.select(keys + cols).group_by(keys) \
-        .aggregate([(c, "sum") for c in cols] + count)
+    per ``aggs`` item ``alias: (op, column)`` (see the module docstring);
+    NaN is masked to null before a min or a max."""
+    cols, specs, names = {k: batch[k] for k in keys}, [], {}
+    for alias, (op, c) in aggs.items():
+        if op not in _OPS or (c is None) != (op == "count"):
+            raise ValueError(f"bad aggregate {alias!r}: {(op, c)!r}")
+        if c is None:
+            names[alias] = "count_all"
+            continue
+        col = batch[c]
+        if op in ("min", "max") and pa.types.is_floating(col.type):
+            # pyarrow's hash min/max give ±inf for an all-NaN group
+            col = pc.if_else(pc.is_nan(col), pa.scalar(None, col.type), col)
+        cols[alias] = col
+        specs.append((alias, op))
+        names[alias] = f"{alias}_{op}"
+    if "count_all" in names.values():
+        specs.append(([], "count_all"))
+    part = pa.table(cols).group_by(keys).aggregate(specs)
     # by NAME: the aggregate column's position has moved across pyarrow releases
-    out = {k: part[k] for k in keys}
-    for alias, c in aggs.items():
-        out[alias] = part["count_all" if c is None else f"{c}_sum"]
-    return pa.table(out)
+    return pa.table({**{k: part[k] for k in keys},
+                     **{a: part[n] for a, n in names.items()}})
 
 
 def _merge(tables: list[pa.Table], keys: list[str],
-           aliases: list[str]) -> pa.Table:
-    """Sum partial tables (``keys + aliases``) by key; an all-null group
-    sums to null. Merges with polars, not ``pa.Table.group_by``: pyarrow
-    16.1's multi-key grouper splits a null fixed-width key (e.g. an
-    all-null int64 or timestamp column) into many groups."""
-    t = pa.concat_tables(tables, promote_options="default") \
-        .select(keys + aliases)
-    out = pl.from_arrow(t).group_by(keys).agg(
-        [pl.when(pl.col(a).count() > 0).then(pl.col(a).sum()).alias(a)
-         for a in aliases])
-    return out.to_arrow().select(keys + aliases).cast(t.schema)
+           aggs: dict[str, tuple[str, str | None]]) -> pa.Table:
+    """Reduce partial tables (``keys + list(aggs)``) by key: counts and
+    sums add (an all-null sum stays null), mins and maxes skip nulls.
+    Merges with polars, not ``pa.Table.group_by``: pyarrow 16.1's
+    multi-key grouper splits a null fixed-width key (e.g. an all-null
+    int64 or timestamp column) into many groups."""
+    names = keys + list(aggs)
+    t = pa.concat_tables(tables, promote_options="default").select(names)
+    exprs = []
+    for alias, (op, _) in aggs.items():
+        c = pl.col(alias)
+        e = c.min() if op == "min" else c.max() if op == "max" \
+            else pl.when(c.count() > 0).then(c.sum())
+        exprs.append(e.alias(alias))
+    out = pl.from_arrow(t).group_by(keys).agg(exprs)
+    return out.to_arrow().select(names).cast(t.schema)
 
 
-def _fold(partials: Dataset, keys: list[str], aliases: list[str],
+def _fold(partials: Dataset, keys: list[str],
+          aggs: dict[str, tuple[str, str | None]],
           seed: pa.Table | None = None) -> Dataset:
     """Tree mode: merge the partial blocks, starting from the partial
     ``seed`` if given, on the driver; returns a one-block Dataset."""
@@ -87,23 +116,25 @@ def _fold(partials: Dataset, keys: list[str], aliases: list[str],
         pending.append(block)
         pending_rows += block.num_rows
         if pending_rows > sum(map(len, result)):
-            result = [_merge(result + pending, keys, aliases)]
+            result = [_merge(result + pending, keys, aggs)]
             pending, pending_rows = [], 0
     tables = result + pending  # none when the input had no rows
-    return ray.data.from_arrow(_merge(tables, keys, aliases) if tables
+    return ray.data.from_arrow(_merge(tables, keys, aggs) if tables
                                else pa.table({}))
 
 
-def aggregate_by(ds: Dataset, keys: list[str], aggs: dict[str, str | None],
+def aggregate_by(ds: Dataset, keys: list[str],
+                 aggs: dict[str, tuple[str, str | None]],
                  mode: str) -> Dataset:
-    """Grouped row counts and column sums in ONE pass: columns ``keys``
-    then one per ``aggs`` item ``alias: column`` — the column's exact
-    sum (null when every value of the group is null), or the row count
-    when ``column`` is None. ``mode`` is ``"tree"`` or ``"shuffle"``
-    (see the module docstring)."""
+    """Grouped counts, sums, mins and maxes in ONE pass: columns
+    ``keys`` then one per ``aggs`` item ``alias: (op, column)`` —
+    ``("count", None)`` counts rows; ``("sum", c)`` is exact and null
+    when every value of the group is null; ``("min", c)``/``("max", c)``
+    skip nulls and NaN (null when nothing is left) and keep ``c``'s
+    type. An empty ``aggs`` gives the distinct keys. ``mode`` is ``"tree"`` or
+    ``"shuffle"`` (see the module docstring)."""
     if mode not in ("tree", "shuffle"):
         raise ValueError(f"unknown aggregate mode {mode!r}")
-    aliases = list(aggs)
 
     def partial(batch: pa.Table) -> pa.Table:
         part = _partial(batch, keys, aggs)
@@ -115,10 +146,10 @@ def aggregate_by(ds: Dataset, keys: list[str], aggs: dict[str, str | None],
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
     if mode == "tree":
-        return _fold(partials, keys, aliases)
+        return _fold(partials, keys, aggs)
 
     def merge_shard(g: pa.Table) -> pa.Table:
-        return _merge([g], keys, aliases)
+        return _merge([g], keys, aggs)
 
     return partials.groupby("_shard").map_groups(merge_shard,
                                                  batch_format="pyarrow")
@@ -128,14 +159,14 @@ def counts_by(ds: Dataset, keys: list[str], alias: str = "n",
               mode: str = "tree") -> Dataset:
     """Exact grouped row counts; columns ``keys + [alias]`` (name the SQL
     oracle column identically: ``COUNT(*) AS n``)."""
-    return aggregate_by(ds, keys, {alias: None}, mode)
+    return aggregate_by(ds, keys, {alias: ("count", None)}, mode)
 
 
 def grouped_sum(ds: Dataset, keys: list[str], value: str, alias: str,
                 mode: str = "tree") -> Dataset:
     """Exact grouped sum with per-batch partial aggregation; a group whose
     ``value`` is null on every row sums to null, as SQL's SUM does."""
-    return aggregate_by(ds, keys, {alias: value}, mode)
+    return aggregate_by(ds, keys, {alias: ("sum", value)}, mode)
 
 
 def fused_counts(ds: Dataset, key_sets: dict[str, list[str]],
@@ -149,6 +180,7 @@ def fused_counts(ds: Dataset, key_sets: dict[str, list[str]],
     views. At 100 TB this halves the number of full passes when a
     pipeline needs multiple aggregate views of one stream.
     """
+    count = {alias: ("count", None)}
     all_keys: list[str] = []
     for keys in key_sets.values():
         for k in keys:
@@ -158,7 +190,7 @@ def fused_counts(ds: Dataset, key_sets: dict[str, list[str]],
     def partial(batch: pa.Table) -> pa.Table:
         pieces = []
         for name, keys in key_sets.items():
-            part = _partial(batch, keys, {alias: None})
+            part = _partial(batch, keys, count)
             n = part.num_rows
             cols = {"_agg": pa.array([name] * n, type=pa.string())}
             for k in all_keys:
@@ -169,7 +201,7 @@ def fused_counts(ds: Dataset, key_sets: dict[str, list[str]],
         return pa.concat_tables(pieces)
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return _fold(partials, ["_agg"] + all_keys, [alias])
+    return _fold(partials, ["_agg"] + all_keys, count)
 
 
 def topk_rows(ds: Dataset, order_col: str, id_col: str,
@@ -273,6 +305,7 @@ def grouping_sets_counts(ds: Dataset, keys: list[str],
 
     sent_arrays = {k: (sentinels[k], pa.scalar(sentinels[k]).type)
                    for k in keys}
+    count = {alias: ("count", None)}
 
     def _padded(g: pa.Table, kept: list[str]) -> pa.Table:
         cols = {k: g[k].cast(t) if k in kept else pa.array([v] * len(g), t)
@@ -283,13 +316,14 @@ def grouping_sets_counts(ds: Dataset, keys: list[str],
         t = batch.select(keys).drop_null()
         # one full-batch hash aggregation; every requested set
         # re-aggregates this key-bounded result, never the raw batch
-        g = _partial(t, keys, {alias: None})
+        g = _partial(t, keys, count)
         out = []
         for kept in norm:
             if kept == keys:
                 out.append(_padded(g, keys))
             elif kept:
-                out.append(_padded(_partial(g, kept, {alias: alias}), kept))
+                out.append(_padded(_partial(g, kept, {alias: ("sum", alias)}),
+                                   kept))
             else:
                 out.append(_padded(pa.table({alias: [t.num_rows]}), []))
         return pa.concat_tables(out)
@@ -297,7 +331,7 @@ def grouping_sets_counts(ds: Dataset, keys: list[str],
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            batch_size=None)
     seed = _padded(pa.table({alias: [0]}), []) if [] in norm else None
-    return _fold(parts, keys, [alias], seed)
+    return _fold(parts, keys, count, seed)
 
 
 def rollup_counts(ds: Dataset, keys: list[str], alias: str = "n", *,

@@ -43,23 +43,19 @@ def word_counts(ds: Dataset, text_field: str = "text") -> Dataset:
     """(word, cnt) over split-on-space tokens, empty words dropped."""
     import polars as pl
 
-    from .aggregate import grouped_sum
+    from .aggregate import counts_by
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def words(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch.select([text_field]))
         df = df.with_columns(pl.col(text_field).cast(pl.Utf8)) \
             .filter(pl.col(text_field).is_not_null())
         out = (df.with_columns(pl.col(text_field).str.split(" ").alias("_w"))
                .select("_w").explode("_w")
-               .filter(pl.col("_w") != "")
-               .group_by("_w").len())
-        return pa.table({
-            "word": out["_w"].to_arrow().cast(pa.string()),
-            "cnt": out["len"].to_arrow().cast(pa.int64()),
-        })
+               .filter(pl.col("_w") != ""))
+        return pa.table({"word": out["_w"].to_arrow().cast(pa.string())})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return grouped_sum(partials, ["word"], "cnt", alias="cnt")
+    return counts_by(ds.map_batches(words, batch_format="pyarrow"), ["word"],
+                     alias="cnt")
 
 
 def _flat_syms(batch: pa.Table):
@@ -146,7 +142,7 @@ def pair_counts(words: Dataset) -> Dataset:
 
     from .aggregate import grouped_sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def pairs_of(batch: pa.Table) -> pa.Table:
         flat, offsets, cnt = _flat_syms(batch)
         n = len(flat)
         empty = pa.table({"left": pa.array([], pa.string()),
@@ -162,17 +158,14 @@ def pair_counts(words: Dataset) -> Dataset:
         sel = pa.array(same)
         lens = np.diff(offsets)
         w = np.repeat(cnt, lens)[:-1][same]  # weight of the pair's word
-        t = pa.table({
+        return pa.table({
             "left": flat.slice(0, n - 1).filter(sel).cast(pa.string()),
             "right": flat.slice(1, n - 1).filter(sel).cast(pa.string()),
             "n": pa.array(w, pa.int64()),
         })
-        p = t.group_by(["left", "right"]).aggregate([("n", "sum")])
-        return p.select(["left", "right", "n_sum"]) \
-            .rename_columns(["left", "right", "n"])
 
-    partials = words.map_batches(partial, batch_format="pyarrow")
-    return grouped_sum(partials, ["left", "right"], "n", alias="n")
+    pairs = words.map_batches(pairs_of, batch_format="pyarrow")
+    return grouped_sum(pairs, ["left", "right"], "n", alias="n")
 
 
 def _top_pair(pairs: Dataset):
@@ -254,19 +247,14 @@ def bpe_vocab(ds: Dataset, rounds: int = 3, top: int = 20,
     _, words = bpe_train(ds, rounds=rounds, text_field=text_field,
                          return_words=True)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def tokens(batch: pa.Table) -> pa.Table:
         flat, offsets, cnt = _flat_syms(batch)
-        if len(flat) == 0:
-            return pa.table({"token": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        lens = np.diff(offsets)
-        t = pa.table({"token": flat.cast(pa.string()),
-                      "n": pa.array(np.repeat(cnt, lens), pa.int64())})
-        p = t.group_by(["token"]).aggregate([("n", "sum")])
-        return p.select(["token", "n_sum"]).rename_columns(["token", "n"])
+        return pa.table({"token": flat.cast(pa.string()),
+                         "n": pa.array(np.repeat(cnt, np.diff(offsets)),
+                                       pa.int64())})
 
-    partials = words.map_batches(partial, batch_format="pyarrow")
-    total = grouped_sum(partials, ["token"], "n", alias="n")
+    total = grouped_sum(words.map_batches(tokens, batch_format="pyarrow"),
+                        ["token"], "n", alias="n")
     return total.sort(["n", "token"], descending=[True, False]).limit(top)
 
 
@@ -444,10 +432,7 @@ def bpe_token_counts(ds: Dataset, rounds: int = 3,
         part = pc.multiply_checked(
             as_combined(dt["_nw"]),
             pc.fill_null(ntok, pa.scalar(0, pa.int64())))
-        shard_part = pa.table({id_field: dt[id_field], "n_tokens": part}) \
-            .group_by([id_field]).aggregate([("n_tokens", "sum")])
-        return shard_part.select([id_field, "n_tokens_sum"]) \
-            .rename_columns([id_field, "n_tokens"])
+        return pa.table({id_field: dt[id_field], "n_tokens": part})
 
     attached = both.groupby("_shard").map_groups(per_shard,
                                                  batch_format="pyarrow")

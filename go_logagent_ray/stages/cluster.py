@@ -44,7 +44,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
-from ray.data.aggregate import Count, Min
 
 from .aggregate import aggregate_by
 
@@ -79,9 +78,9 @@ def _symmetrize(edges: Dataset, n_shards: int) -> Dataset:
 
 
 def _distinct_edges(edges: Dataset) -> Dataset:
-    """Drop duplicate (a, b) rows — one shuffle on the compact pairs."""
-    g = edges.groupby(["a", "b"]).aggregate(Count(alias_name="_n"))
-    return g.select_columns(["a", "b"])
+    """Drop duplicate (a, b) rows — one hash-sharded ``aggregate_by``
+    with no outputs, over the compact pairs."""
+    return aggregate_by(edges, ["a", "b"], {}, "shuffle")
 
 
 def _edge_signature(edges: Dataset) -> tuple[int, int]:
@@ -124,7 +123,8 @@ def _is_star_forest(edges: Dataset) -> bool:
         })
 
     g = aggregate_by(edges.map_batches(flags, batch_format="pyarrow"),
-                     ["node"], {"n_a": "n_a", "n_b": "n_b"}, "shuffle")
+                     ["node"], {"n_a": ("sum", "n_a"), "n_b": ("sum", "n_b")},
+                     "shuffle")
 
     def count_bad(batch: pa.Table) -> pa.Table:
         na = batch.column("n_a").to_numpy(zero_copy_only=False)
@@ -314,5 +314,5 @@ def connected_components(pairs: Dataset, *, a_col: str = "doc_a",
                          "rep": batch.column("a")})
 
     reps = edges.map_batches(reps_self, batch_format="pyarrow")
-    reps = reps.groupby("node").aggregate(Min("rep", alias_name="rep"))
+    reps = aggregate_by(reps, ["node"], {"rep": ("min", "rep")}, "shuffle")
     return members.union(reps)

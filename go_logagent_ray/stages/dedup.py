@@ -21,10 +21,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
-from ray.data.aggregate import Count, Min
 
 from ..functions.arrow_utils import as_combined, set_column
 from ..functions.textstats import raw_fingerprint
+from .aggregate import aggregate_by
 
 # ---------------------------------------------------------------- exact
 
@@ -33,23 +33,14 @@ def exact_keepers(ds: Dataset, text_field: str = "text",
                   id_field: str = "doc_id") -> Dataset:
     """One keeper id per distinct text: min(id) per content hash.
 
-    Scale shape: per-batch partial min per hash (Arrow hash-agg) → tiny
-    groupby over partials. Only (hash, id) pairs ever shuffle.
+    Scale shape: one hash-sharded ``aggregate_by`` min over compact
+    (hash, id) rows. Only per-batch (hash, min id) partials shuffle.
     """
-    def partial(batch: pa.Table) -> pa.Table:
-        b = raw_fingerprint(batch, field=text_field, out="_fp")
-        part = (
-            b.select(["_fp", id_field])
-            .group_by(["_fp"])
-            .aggregate([(id_field, "min")])
-        )
-        # select by name first — pyarrow aggregate column order is not
-        # stable across releases (keys-first only on some versions)
-        return part.select(["_fp", id_field + "_min"]) \
-            .rename_columns(["_fp", id_field])
+    def fp(batch: pa.Table) -> pa.Table:
+        return raw_fingerprint(batch, field=text_field, out="_fp")
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    out = partials.groupby("_fp").aggregate(Min(id_field, alias_name=id_field))
+    out = aggregate_by(ds.map_batches(fp, batch_format="pyarrow"), ["_fp"],
+                       {id_field: ("min", id_field)}, "shuffle")
     return out.select_columns([id_field])
 
 
@@ -209,12 +200,11 @@ def anti_join_ids(ds: Dataset, ids: Dataset, *, id_field: str = "doc_id",
 
 def distinct_count(ds: Dataset, text_field: str = "text") -> int:
     """COUNT(DISTINCT text) via hash partials — no full-text shuffle."""
-    def partial(batch: pa.Table) -> pa.Table:
-        b = raw_fingerprint(batch, field=text_field, out="_fp")
-        return b.select(["_fp"]).group_by(["_fp"]).aggregate([])
+    def fp(batch: pa.Table) -> pa.Table:
+        return raw_fingerprint(batch, field=text_field, out="_fp")
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("_fp").aggregate(Count(alias_name="n")).count()
+    return aggregate_by(ds.map_batches(fp, batch_format="pyarrow"), ["_fp"],
+                        {}, "shuffle").count()
 
 
 # ---------------------------------------------------------------- minhash

@@ -26,11 +26,11 @@ from ..functions.arrow_utils import as_combined, bool_mask_numpy, has_tag, set_c
 _CAST = {"int": pa.int64(), "float": pa.float64(), "string": pa.string(), "bool": pa.bool_()}
 
 
-def pred_mask(batch: pa.Table, pred: tuple, tags_column: str = "tags") -> np.ndarray:
+def pred_mask(batch: pa.Table, pred: tuple) -> np.ndarray:
     """Shared predicate evaluator (same mini-language as RouteStage)."""
     kind = pred[0]
     if kind == "has_tag":
-        return has_tag(batch[tags_column], pred[1])
+        return has_tag(batch["tags"], pred[1])
     field = pred[1]
     if field not in batch.column_names:
         return np.zeros(batch.num_rows, dtype=bool)

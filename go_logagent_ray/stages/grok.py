@@ -53,7 +53,6 @@ class GrokParser:
         patterns_path: str | None = None,
         patterns_dir: str | None = None,
         tag_on_failure: str = "_grokparsefailure",
-        tags_column: str = "tags",
     ):
         from ..functions.grok import load_pattern_file, load_patterns_dir
 
@@ -63,7 +62,6 @@ class GrokParser:
         if not self.fields:
             raise ValueError("GrokParser needs at least one source field")
         self.tag_on_failure = tag_on_failure
-        self.tags_column = tags_column
         merged: dict[str, str] = {}
         if patterns_dir:
             merged.update(load_patterns_dir(patterns_dir))
@@ -146,9 +144,9 @@ class GrokParser:
 
         failed = np.zeros(n, dtype=bool)
         failed[slice(None) if left is None else left] = True
-        tags = batch[self.tags_column] if self.tags_column in batch.column_names else None
+        tags = batch["tags"] if "tags" in batch.column_names else None
         failure = pc.if_else(pa.array(failed), self.tag_on_failure, pa.scalar(None, pa.string()))
-        return set_column(batch, self.tags_column, append_tag(tags, failure))
+        return set_column(batch, "tags", append_tag(tags, failure))
 
     def _py_extract(self, col: pa.Array, cg: CompiledGrok) -> pa.StructArray:
         """Python ``re`` fallback for patterns RE2 rejects (rare path)."""

@@ -6,9 +6,9 @@ of the same two-pass pipeline).
 
 Two passes, both scale-safe:
 
-1. **Fit** — corpus term-occurrence counts: per-batch polars
-   ``group_by`` partials (only (term, count) rows leave the batch),
-   one tree-reduced grouped sum, then a top-V vocabulary under the
+1. **Fit** — corpus term-occurrence counts: one tree-mode
+   ``counts_by`` (its per-batch partials are the only (term, count)
+   rows that leave a batch), then a top-V vocabulary under the
    deterministic total order (count DESC, term ASC). Top-V is taken
    with per-block partial top-V + a driver merge over ≤ V·blocks tiny
    rows — no Ray sort, no full count table on the driver (same shape
@@ -42,24 +42,16 @@ from ray.data import Dataset
 
 
 def _term_counts(ds: Dataset, text_field: str) -> Dataset:
-    """(term, cnt) exact corpus occurrence counts; one small shuffle."""
-    import polars as pl
-
-    from .aggregate import grouped_sum
+    """(term, cnt) exact corpus occurrence counts; one driver merge."""
+    from .aggregate import counts_by
     from .dedup import _tokenize_flat
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def terms(batch: pa.Table) -> pa.Table:
         flat, _ = _tokenize_flat(batch[text_field])
-        if len(flat) == 0:
-            return pa.table({"term": pa.array([], pa.large_string()),
-                             "cnt": pa.array([], pa.int64())})
-        per = (pl.DataFrame({"term": flat}).group_by("term").len("cnt")
-               .cast({"cnt": pl.Int64}))
-        return per.to_arrow()
+        return pa.table({"term": flat.to_arrow()})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return grouped_sum(partials, ["term"], "cnt", "cnt")
+    return counts_by(ds.map_batches(terms, batch_format="pyarrow",
+                                    zero_copy_batch=True), ["term"], "cnt")
 
 
 def fit_unigram_vocab(ds: Dataset, *, vocab_size: int,

@@ -2,10 +2,11 @@
 
 A corpus pipeline's standard pre-flight: row/null/NaN counts and value
 ranges per column, computed as per-batch partials (one tiny row per
-column per batch) merged by a small groupby — the shuffle moves
-O(columns × blocks) rows regardless of data size. Only order-independent
-stats are emitted (counts, min, max): a float SUM would depend on
-reduction order and could not be oracle-compared exactly.
+column per batch) merged on the driver (``aggregate_by``, tree mode):
+only O(columns × blocks) rows leave the tasks regardless of data size.
+Only order-independent stats are emitted (counts, min, max): a float
+SUM would depend on reduction order and could not be oracle-compared
+exactly.
 
 NaN semantics: min/max are defined OVER NON-NaN VALUES and NaNs are
 counted separately in ``n_nan`` — engines disagree on NaN ordering
@@ -20,7 +21,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
-from ray.data.aggregate import Max, Min, Sum
 
 from ..functions.arrow_utils import as_combined
 from .aggregate import aggregate_by
@@ -64,13 +64,10 @@ def profile_numeric(ds: Dataset, columns: list[str]) -> Dataset:
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return partials.groupby("column").aggregate(
-        Sum("n", alias_name="n"),
-        Sum("n_null", alias_name="n_null"),
-        Sum("n_nan", alias_name="n_nan"),
-        Min("min", alias_name="min"),
-        Max("max", alias_name="max"),
-    )
+    return aggregate_by(partials, ["column"], {
+        "n": ("sum", "n"), "n_null": ("sum", "n_null"),
+        "n_nan": ("sum", "n_nan"), "min": ("min", "min"),
+        "max": ("max", "max")}, "tree")
 
 
 def grouped_zscore_filter(ds: Dataset, group_key: str, value_col: str,
@@ -110,8 +107,9 @@ def grouped_zscore_filter(ds: Dataset, group_key: str, value_col: str,
                          "s2": pc.multiply_checked(x, x)})
 
     sq = ds.map_batches(squares, batch_format="pyarrow", batch_size=None)
-    stats = aggregate_by(sq, [group_key], {"n": None, "s": "s", "s2": "s2"},
-                         "tree")
+    stats = aggregate_by(sq, [group_key], {"n": ("count", None),
+                                           "s": ("sum", "s"),
+                                           "s2": ("sum", "s2")}, "tree")
     # group cardinality is bounded (languages/sources); Python ints for
     # the exact arithmetic. Per group: keep (n, S, rhs) and whether the
     # int64 vectorized compare is PROVEN safe via |d| ≤ n·√Σx² + |S|.

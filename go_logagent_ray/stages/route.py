@@ -31,11 +31,9 @@ class RouteStage:
         self,
         rules: list[tuple[str, list[tuple]]],
         default_sink: str = "default",
-        tags_column: str = "tags",
     ):
         self.rules = rules
         self.sinks = pa.array([sink for sink, _ in rules] + [default_sink], type=pa.string())
-        self.tags_column = tags_column
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # each row's first matching rule; the default sink's index otherwise.
@@ -44,7 +42,7 @@ class RouteStage:
         for r in reversed(range(len(self.rules))):
             m = np.ones(batch.num_rows, dtype=bool)
             for pred in self.rules[r][1]:
-                m &= pred_mask(batch, pred, tags_column=self.tags_column)
+                m &= pred_mask(batch, pred)
             rule[m] = r
         return set_column(batch, "route", self.sinks.take(pa.array(rule)))
 

@@ -27,11 +27,10 @@ mode). Remaining gap vs suffix arrays in BOTH modes: sub-chunk repeats
 
 Scale shape (mirrors ``dedup.exact_dedup_broadcast``):
 
-- pass 1: explode each batch into segments IN PLACE, reduce to
-  (segment-hash, min packed (doc_id, seg_idx)) partials inside
-  ``map_batches`` (Arrow hash-agg) → one small ``groupby`` over
-  partials. Only (hash, packed-position) pairs ever shuffle; full text
-  never moves.
+- pass 1: explode each batch into segments IN PLACE, then one
+  hash-sharded ``aggregate_by`` min of the packed (doc_id, seg_idx)
+  per segment hash. Only per-batch (hash, packed-position) partials
+  ever shuffle; full text never moves.
 - keep test: an occurrence survives iff its packed position IS its
   hash's keeper position — and packed positions are globally unique
   (unique doc ids × in-doc index), so the keep set is simply the SET
@@ -59,7 +58,7 @@ Identity is EXACT segment-text equality via a 64-bit polars hash
 (collision odds ~n²/2⁶⁵ — negligible below ~10⁹ distinct segments and
 the SQL oracle would catch one at test scale). Positions pack as
 ``doc_id * MAX_SEGS + seg_idx`` so "first occurrence" is the
-lexicographic (doc_id, seg_idx) minimum in one int64 Min aggregate;
+lexicographic (doc_id, seg_idx) minimum in one int64 min aggregate;
 docs with ≥ MAX_SEGS segments, negative ids, or ids ≥ 2^63/MAX_SEGS
 (which would wrap the packing) fail loudly.
 
@@ -77,8 +76,8 @@ import numpy as np
 import polars as pl
 import pyarrow as pa
 from ray.data import Dataset
-from ray.data.aggregate import Min
 
+from .aggregate import aggregate_by
 from .chunk import chunk_batch_fn
 
 SEG_SIZE = 20
@@ -145,17 +144,13 @@ def segment_keepers(ds: Dataset, *, size: int = SEG_SIZE,
     first occurrence. Only these 16-byte pairs shuffle."""
     explode = _make_explode(mode, size, text_field, id_field, token_hash)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        segs, fp, pk = _packed_segments(batch, explode, id_field)
-        t = pa.table({"_fp": pa.array(fp, pa.int64()),
-                      "_pk": pa.array(pk, pa.int64())})
-        p = t.group_by(["_fp"]).aggregate([("_pk", "min")])
-        # select by name — pyarrow aggregate column order is not stable
-        # across releases
-        return p.select(["_fp", "_pk_min"]).rename_columns(["_fp", "_pk"])
+    def positions(batch: pa.Table) -> pa.Table:
+        _, fp, pk = _packed_segments(batch, explode, id_field)
+        return pa.table({"_fp": pa.array(fp, pa.int64()),
+                         "_pk": pa.array(pk, pa.int64())})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    return parts.groupby("_fp").aggregate(Min("_pk", alias_name="_pk"))
+    return aggregate_by(ds.map_batches(positions, batch_format="pyarrow"),
+                        ["_fp"], {"_pk": ("min", "_pk")}, "shuffle")
 
 
 def _out_schema(id_field: str, text_field: str) -> pa.Schema:

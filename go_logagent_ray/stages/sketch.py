@@ -24,7 +24,6 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from ..functions.arrow_utils import as_combined
-from .aggregate import counts_by
 
 
 # ------------------------------------------------------------------- HLL
@@ -204,41 +203,51 @@ def grouped_quantiles(ds: Dataset, key: str, value: str,
     scale-safe grouped-quantile shape: values quantize to integers
     (``floor(v*scale + 0.5)``, C-style half-up so the SQL side's
     FLOOR(x+0.5) is bit-identical), each batch pre-aggregates
-    (group, quantized, count) partials, and ONLY those compact count
-    rows shuffle — never the raw values.  The per-group quantile then
-    reads the count distribution (rows = distinct quantized values per
-    group, bounded by value range × scale, not by input size).
+    (group, quantized, count) partials (the aggregate kernel's
+    ``_partial``), and ONLY those compact count rows shuffle — never
+    the raw values. They shard once, on the group key, so each shard
+    task merges its counts (``_merge``) and reads every group's
+    quantiles off its count distribution (rows = distinct quantized
+    values per group, bounded by value range × scale, not by input
+    size). A null group key is one group, as in SQL's GROUP BY.
 
     Quantile convention matches DuckDB ``quantile_disc``: the element
     at index max(0, ceil(n·q) − 1) of the sorted values (verified
     empirically on this DuckDB build).  NaN and null values are
     excluded on both sides.
     """
+    import polars as pl
 
-    def quantize(batch: pa.Table) -> pa.Table:
+    from ..functions.hashing import shard_series_i32
+    from .aggregate import _SHARDS, _merge, _partial
+
+    keys, count = [key, "_q"], {"_n": ("count", None)}
+
+    def partial(batch: pa.Table) -> pa.Table:
         v = as_combined(batch[value]).to_numpy(zero_copy_only=False)
-        k = as_combined(batch[key])
         ok = ~np.isnan(v)
         cents = np.floor(v[ok] * scale + 0.5).astype(np.int64)
-        return pa.table({key: k.filter(pa.array(ok)), "_q": pa.array(cents)})
+        part = _partial(pa.table({key: as_combined(batch[key])
+                                  .filter(pa.array(ok)),
+                                  "_q": pa.array(cents)}), keys, count)
+        shard = shard_series_i32(pl.from_arrow(part.select([key])), [key],
+                                 _SHARDS)
+        return part.append_column("_shard", shard.to_arrow())
 
-    quantized = ds.map_batches(quantize, batch_format="pyarrow",
-                               batch_size=None)
-    counts = counts_by(quantized, [key, "_q"], alias="_n", mode="shuffle")
+    def final_shard(g: pa.Table) -> pa.Table:
+        counts = _merge([g], keys, count)
+        # per group, ascending _q: the q-quantile is the first value whose
+        # running count reaches max(1, ceil(n·q))
+        df = pl.from_arrow(counts).sort(keys).with_columns(
+            _cum=pl.col("_n").cum_sum().over(key),
+            _tot=pl.col("_n").sum().over(key))
+        out = df.group_by(key, maintain_order=True).agg(
+            [pl.col("_q").filter(
+                pl.col("_cum") >= (pl.col("_tot") * q).ceil().clip(1))
+             .first().alias(name) for name, q in qs.items()])
+        return out.to_arrow().cast(pa.schema(
+            [counts.schema.field(key)]
+            + [(name, pa.int64()) for name in qs]))
 
-    def per_group(g: pa.Table) -> pa.Table:
-        qv = g.column("_q").to_numpy(zero_copy_only=False)
-        cn = g.column("_n").to_numpy(zero_copy_only=False)
-        order = np.argsort(qv, kind="stable")
-        qv, cn = qv[order], cn[order]
-        cum = np.cumsum(cn)
-        n = int(cum[-1])
-        row = {key: g.column(key).slice(0, 1)}
-        for name, q in qs.items():
-            idx = max(0, int(np.ceil(n * q)) - 1)
-            pos = int(np.searchsorted(cum, idx + 1))
-            row[name] = pa.array([int(qv[pos])], pa.int64())
-        return pa.table(row)
-
-    return counts.groupby(key).map_groups(per_group,
-                                          batch_format="pyarrow")
+    return ds.map_batches(partial, batch_format="pyarrow", batch_size=None) \
+        .groupby("_shard").map_groups(final_shard, batch_format="pyarrow")

@@ -20,13 +20,14 @@ is the deterministic prefix-group variant of Drain's fixed-depth tree:
 
 Scale shape: the explode is corpus × token-count rows, but each batch
 immediately combines to ``(group, pos) → (min, max, count)`` partials —
-bounded by distinct-template structure, not corpus size — so only
-partials shuffle. The merge groupby runs on ``hash(group) %
-merge_shards`` (the throttle/multiline group-count discipline), with the
-per-group min/max merge and the pos-ordered template join vectorized
-across each shard in polars. Null-text rows contribute nothing; empty
-text is the 1-token group ``("", n=1)`` (``"".split(" ") == [""]`` on
-both the polars and DuckDB sides — verified).
+bounded by distinct-template structure, not corpus size; the aggregate
+kernel's ``_partial`` builds them — so only partials shuffle. The merge
+groupby runs on ``hash(group) % merge_shards`` (the throttle/multiline
+group-count discipline); each shard runs the kernel's ``_merge`` and
+then the pos-ordered template join, vectorized across the shard in
+polars. Null-text rows contribute nothing; empty text is the 1-token
+group ``("", n=1)`` (``"".split(" ") == [""]`` on both the polars and
+DuckDB sides — verified).
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def template_kernels(*, text_field: str = "text", merge_shards: int = 64):
     import polars as pl
 
     from ..functions.hashing import shard_series_i32
+    from .aggregate import _merge, _partial
+
+    keys = ["n_tokens", "_tok0", "pos"]
+    aggs = {"tmin": ("min", "_toks"), "tmax": ("max", "_toks"),
+            "cnt": ("count", None)}
 
     def partial(batch: pa.Table) -> pa.Table:
         # cast guards all-null blocks arriving as Null dtype (no str
@@ -63,24 +69,17 @@ def template_kernels(*, text_field: str = "text", merge_shards: int = 64):
              .explode(["_toks", "pos"]))
         # per-batch combiner: one row per (group, pos) this batch saw —
         # min/max are associative so shards can finish the merge exactly
-        part = e.group_by(["n_tokens", "_tok0", "pos"]).agg(
-            pl.col("_toks").min().alias("tmin"),
-            pl.col("_toks").max().alias("tmax"),
-            pl.len().cast(pl.Int64).alias("cnt"))
-        return part.with_columns(
-            shard_series_i32(part, ["n_tokens", "_tok0"],
-                             merge_shards)).to_arrow()
+        part = _partial(e.to_arrow(), keys, aggs)
+        shard = shard_series_i32(pl.from_arrow(part.select(keys[:2])),
+                                 keys[:2], merge_shards)
+        return part.append_column("_shard", shard.to_arrow())
 
     def final_shard(g: pa.Table) -> pa.Table:
-        df = pl.from_arrow(g).drop("_shard")
-        agg = df.group_by(["n_tokens", "_tok0", "pos"]).agg(
-            pl.col("tmin").min(),
-            pl.col("tmax").max(),
-            pl.col("cnt").sum())
+        agg = pl.from_arrow(_merge([g], keys, aggs))
         agg = agg.with_columns(
             pl.when(pl.col("tmin") == pl.col("tmax"))
             .then(pl.col("tmin")).otherwise(pl.lit(WILDCARD))
-            .alias("_piece")).sort(["n_tokens", "_tok0", "pos"])
+            .alias("_piece")).sort(keys)
         out = (agg.group_by(["n_tokens", "_tok0"], maintain_order=True)
                .agg(pl.col("_piece").str.join(" ").alias("template"),
                     # every group member has a token at pos 1, so the

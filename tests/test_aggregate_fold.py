@@ -1,6 +1,7 @@
 """The grouping kernel of ``stages/aggregate.py``: every aggregate
 equals a DuckDB reference in both merge modes (null keys one group
-each, an all-null sum stays null), one pass makes several outputs,
+each, an all-null sum stays null, min and max skip NaN and an all-NaN
+group gives null), one pass makes several outputs,
 inputs with no rows give no groups, many partial blocks fold to the
 single-block answer, and tree mode plans one partial map with no
 shuffle."""
@@ -70,12 +71,22 @@ def test_grouped_sum_all_null_group_is_null(ray_session, mode, last_key):
         assert (k[0].as_py(), None) in got
 
 
+# min and max of an int64, a float64, a timestamp and a string column,
+# as kernel aggregates and as DuckDB select items over ``_NO_NAN``
+_MINMAX = {f"{op}_{c}": (op, c) for c in ("v", "f", "t", "s")
+           for op in ("min", "max")}
+_MINMAX_SQL = ", ".join(f"{op}({c}) AS {a}" for a, (op, c) in _MINMAX.items())
+# the kernel's min and max skip NaN; DuckDB's would order it greatest
+_NO_NAN = "(SELECT * REPLACE (CASE WHEN NOT isnan(f) THEN f END AS f) FROM {})"
+
+
 @pytest.mark.parametrize("mode", ["tree", "shuffle"])
 def test_one_pass_counts_and_two_sums_match_duckdb(ray_session, mode):
-    """One ``aggregate_by`` pass makes a row count and two column sums
-    over a null-holding string key and int64 key, across four blocks;
-    it equals DuckDB, including a group whose ``w`` values are all
-    null."""
+    """One ``aggregate_by`` pass makes a row count, two column sums and
+    a min and a max of an int64, a float64, a timestamp and a string
+    column over a null-holding string key and int64 key, across four
+    blocks; it equals DuckDB (NaN skipped by min and max), including a
+    group whose ``w`` values are all null."""
     import random
 
     rnd = random.Random(7)
@@ -84,16 +95,39 @@ def test_one_pass_counts_and_two_sums_match_duckdb(ray_session, mode):
         s, i = rnd.choice(["x", "y", "", None]), rnd.choice([-1, 0, 5, None])
         rows.append({"s": s, "i": i,
                      "v": rnd.choice([None, rnd.randint(-99, 99)]),
-                     "w": None if s is None and i is None else 10**12 + j})
+                     "w": None if s is None and i is None else 10**12 + j,
+                     "f": rnd.choice([None, float("nan"), rnd.random()]),
+                     "t": rnd.choice([None, _T0 + timedelta(hours=j)])})
     t = pa.Table.from_pylist(rows, schema=pa.schema(
         [("s", pa.string()), ("i", pa.int64()), ("v", pa.int64()),
-         ("w", pa.int64())]))
-    got = _rows(aggregate_by(_blocks(t, [90, 170, 300]), ["s", "i"],
-                             {"n": None, "sv": "v", "sw": "w"}, mode))
+         ("w", pa.int64()), ("f", pa.float64()), ("t", pa.timestamp("us"))]))
+    aggs = {"n": ("count", None), "sv": ("sum", "v"), "sw": ("sum", "w"),
+            **_MINMAX}
+    out = aggregate_by(_blocks(t, [90, 170, 300]), ["s", "i"], aggs, mode)
+    assert out.schema().types == [t.schema.field(c).type for c in "si"] + [
+        pa.int64()] * 3 + [t.schema.field(c).type for _, c in _MINMAX.values()]
+    got = _rows(out)
     want = _ref("SELECT s, i, COUNT(*) AS n, SUM(v)::BIGINT AS sv, "
-                "SUM(w)::BIGINT AS sw FROM t GROUP BY s, i", t=t)
+                f"SUM(w)::BIGINT AS sw, {_MINMAX_SQL} "
+                f"FROM {_NO_NAN.format('t')} GROUP BY s, i", t=t)
     assert got == want
     assert (None, None) in {r[:2] for r in got if r[4] is None}
+
+
+@pytest.mark.parametrize("mode", ["tree", "shuffle"])
+def test_all_nan_group_min_max_is_null(ray_session, mode):
+    """A float group that holds only NaN (and null) gives null min and
+    max, not NaN or ±inf, however its rows split over blocks; a group
+    with one number beside NaN gives that number."""
+    nan = float("nan")
+    t = pa.table({"k": ["a", "a", "b", "b", "a", "c"],
+                  "f": pa.array([nan, nan, nan, 2.5, None, nan])})
+    for cuts in ([], [1], [3]):
+        out = aggregate_by(_blocks(t, cuts), ["k"], {
+            "lo": ("min", "f"), "hi": ("max", "f")}, mode)
+        assert _rows(out) == Counter({("a", None, None): 1,
+                                      ("b", 2.5, 2.5): 1,
+                                      ("c", None, None): 1}), cuts
 
 
 def test_shuffle_keeps_a_null_key_whole_across_null_typed_blocks(
@@ -112,7 +146,8 @@ def test_shuffle_keeps_a_null_key_whole_across_null_typed_blocks(
     want = Counter({(None, None, 4, 13): 1, ("a", None, 1, 2): 1,
                     (None, 5, 1, 3): 1})
     for mode in ("tree", "shuffle"):
-        got = aggregate_by(ds, ["k", "i"], {"n": None, "s": "v"}, mode)
+        got = aggregate_by(ds, ["k", "i"],
+                           {"n": ("count", None), "s": ("sum", "v")}, mode)
         assert _rows(got) == want, mode
 
 
@@ -194,9 +229,11 @@ _row = st.fixed_dictionaries({
     "t": st.one_of(st.none(), st.integers(0, 2).map(
         lambda h: _T0 + timedelta(hours=h))),
     "v": st.one_of(st.none(), st.integers(-10**6, 10**6)),
+    "f": st.one_of(st.none(), st.just(float("nan")), st.floats(-1e6, 1e6)),
 })
 _SCHEMA = pa.schema([("s", pa.string()), ("i", pa.int64()),
-                     ("t", pa.timestamp("us")), ("v", pa.int64())])
+                     ("t", pa.timestamp("us")), ("v", pa.int64()),
+                     ("f", pa.float64())])
 
 
 @settings(max_examples=20, deadline=None)
@@ -207,19 +244,26 @@ def test_aggregates_match_duckdb_with_null_keys(ray_session, rows, reps,
                                                 cuts):
     """Nulls in string, int64 and timestamp key columns over several
     blocks: one row per key, equal to DuckDB, for ``counts_by``,
-    ``grouped_sum`` and ``fused_counts``. Repeating the rows puts up to
-    thousands of rows of one null-holding key in a block, where pyarrow's
-    grouper splits that key into many partial rows."""
+    ``grouped_sum``, min and max of every column (in both modes) and
+    ``fused_counts``. Repeating the rows puts up to thousands of rows
+    of one null-holding key in a block, where pyarrow's grouper splits
+    that key into many partial rows."""
     tbl = pa.Table.from_pylist(rows * reps, schema=_SCHEMA)
     keys = ["s", "i", "t"]
-    assert _rows(counts_by(_blocks(tbl, cuts), keys)) == _ref(
-        "SELECT s, i, t, COUNT(*) AS n FROM tbl GROUP BY s, i, t", tbl=tbl)
-    assert _rows(grouped_sum(_blocks(tbl, cuts), keys, "v", alias="sv")) \
-        == _ref("SELECT s, i, t, SUM(v)::BIGINT AS sv FROM tbl "
-                "GROUP BY s, i, t", tbl=tbl)
+    for mode in ("tree", "shuffle"):
+        assert _rows(counts_by(_blocks(tbl, cuts), keys, mode=mode)) == _ref(
+            "SELECT s, i, t, COUNT(*) AS n FROM tbl GROUP BY s, i, t",
+            tbl=tbl)
+        assert _rows(grouped_sum(_blocks(tbl, cuts), keys, "v", alias="sv",
+                                 mode=mode)) \
+            == _ref("SELECT s, i, t, SUM(v)::BIGINT AS sv FROM tbl "
+                    "GROUP BY s, i, t", tbl=tbl)
+        assert _rows(aggregate_by(_blocks(tbl, cuts), ["i"], _MINMAX,
+                                  mode)) \
+            == _ref(f"SELECT i, {_MINMAX_SQL} FROM {_NO_NAN.format('tbl')} "
+                    "GROUP BY i", tbl=tbl)
     got = fused_counts(_blocks(tbl, cuts), {"si": ["s", "i"], "t": ["t"]})
     assert _rows(got) == _ref(
         "SELECT 'si' AS _agg, s, i, NULL::TIMESTAMP AS t, COUNT(*) AS n "
         "FROM tbl GROUP BY s, i UNION ALL "
         "SELECT 't', NULL, NULL, t, COUNT(*) FROM tbl GROUP BY t", tbl=tbl)
-

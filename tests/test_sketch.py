@@ -125,6 +125,34 @@ def test_grouped_quantiles_negative_and_nan():
     assert out.loc["b", "p50"] == 2000 and out.loc["b", "p100"] == 3000
 
 
+def test_grouped_quantiles_null_key_is_one_group(ray_session):
+    """A null string key over two blocks is one group, as in DuckDB's
+    ``quantile_disc ... GROUP BY k`` (Ray's sort on the raw key raised
+    ``TypeError`` comparing None with str)."""
+    from collections import Counter
+
+    import duckdb
+    import ray
+    import ray.data as rd
+
+    from go_logagent_ray.stages.sketch import grouped_quantiles
+
+    t = pa.table({"k": ["a", None, "b", "a"], "v": [1.25, 2.5, 3.0, 0.5]})
+    qs = {"p50": 0.5, "p90": 0.9, "p0": 0.0}
+    out = grouped_quantiles(rd.from_arrow([t.slice(0, 2), t.slice(2)]),
+                            "k", "v", qs)
+    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    sql = ", ".join(f"quantile_disc(c, {q}) AS {n}" for n, q in qs.items())
+    want = duckdb.sql(f"SELECT k, {sql} FROM (SELECT k, "
+                      "CAST(FLOOR(v * 100 + 0.5) AS BIGINT) AS c FROM t) "
+                      "GROUP BY k").arrow()
+    assert got.schema == want.schema
+    assert Counter(tuple(r.values()) for r in got.to_pylist()) == \
+        Counter(tuple(r.values()) for r in want.to_pylist())
+    assert (None, 250, 250, 250) in {tuple(r.values())
+                                     for r in got.to_pylist()}
+
+
 def test_heavy_hitters_exact_when_distinct_fits_and_bounded_error():
     import numpy as np
     import pyarrow as pa
